@@ -19,10 +19,40 @@ import (
 // Bit-exactness contract: every value the Evaluator returns is
 // bit-identical to what the original Analytic methods computed. Hoisting
 // is safe because the hoisted expressions are unchanged (same operations,
-// same order); the comparison bounds are safe because a bisection step
+// same order). The comparison bounds are safe because a bisection step
 // needs only the comparison *outcome* SojournCDF(t) < p, not the CDF's
-// bits, and the bounds are padded far beyond the true floating-point
-// error so an undecided comparison always falls back to the exact sum.
+// bits, and each bound provably lies on its side of the value the exact
+// path would compute. The error model behind that assumes 0 < θ < ∞ and
+// 0 ≤ pw < ∞ (Evaluator.tame); with u = 2⁻⁵³ the unit roundoff, x = θt
+// and γ_k = ku/(1−ku):
+//
+//   - math.Exp is within E·u relative of the true exponential on normal
+//     results, E = expErrU. The portable stdlib code claims < 1 ulp (2u);
+//     the amd64 assembly measures up to ~2.7u, so E = 8 keeps a 3× margin,
+//     and TestExpWithinErrorModel pins it on the host.
+//   - An exact-path term exp(fl(−θ·fl(t−s_i))) rounds its argument twice,
+//     so it is within (2θ(t−s_i)+E)·u ≤ (2x+E)·u of e^{−θ(t−s_i)}. A
+//     clamped term (s_i > t) is exactly e^{−0} = 1.
+//   - The factored e^{−θt}·prefixE[m] carries (x+E)·u from e^{−θt},
+//     (θs_{m−1}+E)·u ≤ (x+E)·u from the prefix terms, γ_{m−1} from the
+//     prefix summation and u from the product.
+//   - The exact loop's sum of `full` non-negative terms adds γ_{full−1}.
+//
+// Adding these, plus 3u for forming (base+clamped)·(1±π) and u for every
+// second-order term (< 1e-25 while x ≤ 668), gives the relative pad on
+// the quadrature sum
+//
+//	π = (4x + m + full + 3E + 4)·u,
+//
+// at most 3.3e-13 under the e^{−θt} ≥ 1e-290 guard (x ≤ 668). The
+// fractional-bin bracket needs (4x + 2E + 5)·u, which π covers. Every
+// operation after the sum — the division by n, the fractional-bin
+// addition, the pw product and the subtraction from F_S(t) — is a
+// correctly rounded IEEE operation and therefore monotone, so the bound
+// path applies the exact path's own expressions to the bounded sum and
+// needs no further pad. All terms of both sums are ≥ e^{−θt}, hence
+// normal; only the fractional-bin term can be subnormal, and boundTiny
+// absorbs its absolute rounding.
 
 // expZero is a conservative threshold below which math.Exp returns a
 // value so small (< 2^-1075, half the smallest subnormal) that adding it
@@ -32,6 +62,13 @@ import (
 // whenever the loop runs at all). Skipping such terms is therefore
 // bit-identical to summing them.
 const expZero = -746.0
+
+// Error-model constants; see the file comment.
+const (
+	unitRoundoff = 0x1p-53
+	expErrU      = 8
+	boundTiny    = 1e-300
+)
 
 // Evaluator answers repeated sojourn-CDF queries against one fixed
 // Analytic queue without recomputing the t-independent parts. The zero
@@ -45,10 +82,8 @@ type Evaluator struct {
 
 	// sTab[i] is the service quantile at bin midpoint i, exactly
 	// math.Exp(svc.Mu + svc.Sigma*quadZ[i]) — the same expression the
-	// original CDF loop evaluated per call. Points at own or at a table
-	// shared through a Cache.
-	sTab *[quadPoints]float64
-	own  [quadPoints]float64
+	// original CDF loop evaluated per call.
+	sTab [quadPoints]float64
 
 	// prefixE[k] = Σ_{i<k} e^{θ·s_i}. Because θ is fixed for the
 	// evaluator's lifetime, e^{-θ(t-s_i)} factors as e^{-θt}·e^{θ·s_i},
@@ -58,16 +93,25 @@ type Evaluator struct {
 	// than the small argument θ(t-s_i)), so it is used only inside
 	// rigorously padded bounds — never for a returned value.
 	prefixE [quadPoints + 1]float64
-	// fastOK gates the bound path: false when the prefix table
-	// overflowed or the s table is not ascending.
+	// tame holds when pw is finite and non-negative and θ finite and
+	// positive, so every quadrature term lies in [0, 1] and pw·integral is
+	// finite and non-negative: the premise of cdfLess's shortcut and of
+	// the error model. Only nonsensical parameters (negative rates, NaN
+	// CVs) break it.
+	tame bool
+	// fastOK gates the bound path: tame, a finite prefix table and an
+	// ascending s table.
 	fastOK bool
+
+	// fallbacks counts the comparisons cdfLess had to settle with the
+	// exact summation. Init leaves it alone, so it accumulates over the
+	// evaluator's lifetime.
+	fallbacks int
 }
 
 // Init prepares the evaluator for the given queue parameters. It may be
 // called repeatedly to reuse the (large) struct across steps.
-func (ev *Evaluator) Init(a Analytic) { ev.init(a, nil) }
-
-func (ev *Evaluator) init(a Analytic, c *Cache) {
+func (ev *Evaluator) Init(a Analytic) {
 	ev.a = a
 	ev.stable = a.Stable()
 	if !ev.stable {
@@ -76,13 +120,12 @@ func (ev *Evaluator) init(a Analytic, c *Cache) {
 	ev.pw = a.ErlangC()
 	ev.theta = a.waitTailRate()
 	ev.svc = NewLogNormal(a.SvcMean, a.SvcCV)
-	if c != nil {
-		ev.sTab = c.sTab(ev.svc)
-	} else {
-		fillSTab(&ev.own, ev.svc)
-		ev.sTab = &ev.own
+	for i := range ev.sTab {
+		ev.sTab[i] = math.Exp(ev.svc.Mu + ev.svc.Sigma*quadZ[i])
 	}
-	ev.fastOK = true
+	inf := math.Inf(1)
+	ev.tame = 0 <= ev.pw && ev.pw < inf && 0 < ev.theta && ev.theta < inf
+	ev.fastOK = ev.tame
 	ev.prefixE[0] = 0
 	for i, s := range ev.sTab {
 		e := math.Exp(ev.theta * s)
@@ -93,12 +136,6 @@ func (ev *Evaluator) init(a Analytic, c *Cache) {
 	}
 	if last := ev.prefixE[quadPoints]; math.IsInf(last, 0) || math.IsNaN(last) {
 		ev.fastOK = false
-	}
-}
-
-func fillSTab(tab *[quadPoints]float64, svc LogNormal) {
-	for i := range tab {
-		tab[i] = math.Exp(svc.Mu + svc.Sigma*quadZ[i])
 	}
 }
 
@@ -161,18 +198,11 @@ func (ev *Evaluator) sojournCDFStable(t, ft, fracPart float64) float64 {
 // FractionWithin returns SojournCDF(t), mirroring Analytic.FractionWithin.
 func (ev *Evaluator) FractionWithin(t float64) float64 { return ev.SojournCDF(t) }
 
-// Bound pads. The true discrepancy between the factored prefix-sum
-// approximation and the exact ascending summation is bounded by the
-// argument-rounding of the large exponents (≈ eps·θ·(t+s) ≲ 2e-13
-// relative given the e^{-θt} ≥ 1e-290 guard keeps θt moderate) plus
-// ~n·eps summation error; padP carries a >10× margin over that. pad
-// covers the handful of roundings in the bound algebra itself. tiny
-// absorbs every absolute (subnormal-scale) loss.
-const (
-	boundPadP = 3e-12
-	boundPad  = 1e-12
-	boundTiny = 1e-300
-)
+// sumPad returns the relative pad π of the file comment's error model for
+// x = θt, m unclamped bins and full whole bins.
+func sumPad(x float64, m, full int) float64 {
+	return (4*x + float64(m+full) + 3*expErrU + 4) * unitRoundoff
+}
 
 // cdfLess reports whether SojournCDF(t) < p with the exact same outcome
 // the full evaluation would produce. The bisection driving
@@ -180,7 +210,7 @@ const (
 // answered by rigorous two-sided bounds costing O(log n): one exp for
 // e^{-θt}, a prefix-sum lookup for the quadrature mass, and (when the
 // verdict is close) one exact fractional-bin term. Only a comparison the
-// padded bounds cannot decide falls back to the exact summation.
+// bounds cannot decide falls back to the exact summation.
 func (ev *Evaluator) cdfLess(t, p float64) bool {
 	a := ev.a
 	if t <= 0 || a.Servers <= 0 {
@@ -198,7 +228,7 @@ func (ev *Evaluator) cdfLess(t, p float64) bool {
 	if ft <= 0 {
 		return 0 < p
 	}
-	if ft < p {
+	if ft < p && ev.tame {
 		// v = fl(ft − pw·integral) ≤ ft exactly: subtracting a
 		// non-negative value under round-to-nearest cannot round above
 		// the representable minuend.
@@ -217,10 +247,9 @@ func (ev *Evaluator) cdfLess(t, p float64) bool {
 		// Terms split at the clamp boundary: bins with s_i > t contribute
 		// exactly e^0 = 1 each; the rest factor through the prefix table.
 		m := ev.searchClamp(t, full)
-		clamped := float64(full - m)
-		base := eNegT * ev.prefixE[m]
-		sumLo := base*(1-boundPadP) + clamped
-		sumHi := base*(1+boundPadP) + clamped + boundTiny
+		pad := sumPad(theta*t, m, full)
+		sum := eNegT*ev.prefixE[m] + float64(full-m)
+		sumLo, sumHi := sum*(1-pad), sum*(1+pad)
 
 		frac := ft - float64(full)/n
 		hasFrac := frac > 0 && full < n
@@ -238,19 +267,22 @@ func (ev *Evaluator) cdfLess(t, p float64) bool {
 			if full+1 < n {
 				hi = ev.sTab[full+1]
 			}
-			fracLo, fracHi = ev.fracBounds(t, frac, lo, hi)
+			fracLo, fracHi = ev.fracBounds(t, frac, lo, hi, pad)
 		}
 		for stage := 0; stage < 2; stage++ {
-			iLo := (sumLo/n + fracLo) * (1 - boundPad)
-			iHi := (sumHi/n+fracHi)*(1+boundPad) + boundTiny
-			vHi := ft - ev.pw*iLo + ft*boundPad + boundTiny
-			vLo := ft - ev.pw*iHi - ft*boundPad - boundTiny
-			// NaN/Inf artifacts fail both comparisons and fall through
-			// to the exact path — never a wrong verdict.
-			if vHi < p {
+			// The exact path's expressions, in its order, on the bounds:
+			// monotone rounding keeps vLo ≤ v ≤ vHi. NaN/Inf artifacts
+			// fail both comparisons and fall through to the exact path —
+			// never a wrong verdict.
+			iLo, iHi := sumLo/n, sumHi/n
+			if hasFrac {
+				iLo += fracLo
+				iHi += fracHi
+			}
+			if vHi := ft - ev.pw*iLo; vHi < p {
 				return true
 			}
-			if vLo >= p {
+			if vLo := ft - ev.pw*iHi; vLo >= p {
 				return false
 			}
 			if stage == 1 || !hasFrac {
@@ -262,10 +294,12 @@ func (ev *Evaluator) cdfLess(t, p float64) bool {
 				s = t
 			}
 			fracPart = frac * math.Exp(-theta*(t-s))
-			fracLo, fracHi = fracPart*(1-boundPad), fracPart*(1+boundPad)+boundTiny
+			fracLo, fracHi = fracPart, fracPart
 		}
+		ev.fallbacks++
 		return ev.sojournCDFStable(t, ft, fracPart) < p
 	}
+	ev.fallbacks++
 	return ev.sojournCDFStable(t, ft, -1) < p
 }
 
@@ -284,17 +318,19 @@ func (ev *Evaluator) searchClamp(t float64, full int) int {
 	return lo
 }
 
-// fracBounds brackets frac·e^{-θ(t-s_u)} given s_u ∈ [sLo, sHi] (up to
-// table rounding, which the pads absorb).
-func (ev *Evaluator) fracBounds(t, frac, sLo, sHi float64) (lo, hi float64) {
+// fracBounds brackets the exact path's frac·e^{-θ(t-s_u)} given table
+// neighbours sLo < s_u < sHi. The neighbours sit half a bin or more
+// outside the fractional bin, far beyond the quantile approximation's
+// error, so only the two exps' rounding needs padding.
+func (ev *Evaluator) fracBounds(t, frac, sLo, sHi, pad float64) (lo, hi float64) {
 	if sLo > t {
 		sLo = t
 	}
 	if sHi > t {
 		sHi = t
 	}
-	lo = frac * math.Exp(-ev.theta*(t-sLo)) * (1 - boundPadP)
-	hi = frac*math.Exp(-ev.theta*(t-sHi))*(1+boundPadP) + boundTiny
+	lo = frac*math.Exp(-ev.theta*(t-sLo))*(1-pad) - boundTiny
+	hi = frac*math.Exp(-ev.theta*(t-sHi))*(1+pad) + boundTiny
 	return lo, hi
 }
 
@@ -351,17 +387,15 @@ type latVal struct{ p95, frac float64 }
 // Cache memoizes latency solves across nodes and steps. Fleet
 // simulations ask the same question many times over: under round-robin
 // dispatch every node sees the same arrival rate, and diurnal traces
-// revisit load levels, so one solve serves a whole fleet interval. The
-// cache also shares the per-service s_i quadrature tables, which depend
-// only on the service-time distribution, across every miss.
+// revisit load levels, so one solve serves a whole fleet interval.
 //
 // Safe under concurrent use. Entry count is bounded; on overflow the
-// solve map is reset rather than evicted piecemeal, which keeps behavior
-// deterministic regardless of insertion order.
+// solve map is cleared rather than evicted piecemeal, which keeps
+// behavior deterministic regardless of insertion order and, once warm,
+// lets a miss reuse the map's storage instead of allocating.
 type Cache struct {
-	mu    sync.Mutex
-	sols  map[latKey]latVal
-	stabs map[LogNormal]*[quadPoints]float64
+	mu   sync.Mutex
+	sols map[latKey]latVal
 }
 
 // cacheMaxEntries bounds the solve map (~6 MiB at the cap) so unbounded
@@ -371,25 +405,7 @@ const cacheMaxEntries = 1 << 16
 
 // NewCache returns an empty latency-solve cache.
 func NewCache() *Cache {
-	return &Cache{
-		sols:  make(map[latKey]latVal),
-		stabs: make(map[LogNormal]*[quadPoints]float64),
-	}
-}
-
-func (c *Cache) sTab(svc LogNormal) *[quadPoints]float64 {
-	c.mu.Lock()
-	tab, ok := c.stabs[svc]
-	if !ok {
-		tab = new([quadPoints]float64)
-		fillSTab(tab, svc)
-		if len(c.stabs) >= 1024 {
-			c.stabs = make(map[LogNormal]*[quadPoints]float64)
-		}
-		c.stabs[svc] = tab
-	}
-	c.mu.Unlock()
-	return tab
+	return &Cache{sols: make(map[latKey]latVal)}
 }
 
 // Solve returns SojournQuantile(pct) and, when budget > 0,
@@ -403,31 +419,27 @@ func (c *Cache) Solve(a Analytic, pct, budget float64, ev *Evaluator) (p95, frac
 		// so backlog-inflated keys dedupe.
 		budget = 0
 	}
-	if c == nil {
-		ev.init(a, nil)
-		p95 = ev.SojournQuantile(pct)
-		if budget > 0 {
-			frac = ev.SojournCDF(budget)
-		}
-		return p95, frac
-	}
 	k := latKey{a: a, pct: pct, budget: budget}
-	c.mu.Lock()
-	v, ok := c.sols[k]
-	c.mu.Unlock()
-	if ok {
-		return v.p95, v.frac
+	if c != nil {
+		c.mu.Lock()
+		v, ok := c.sols[k]
+		c.mu.Unlock()
+		if ok {
+			return v.p95, v.frac
+		}
 	}
-	ev.init(a, c)
+	ev.Init(a)
 	p95 = ev.SojournQuantile(pct)
 	if budget > 0 {
 		frac = ev.SojournCDF(budget)
 	}
-	c.mu.Lock()
-	if len(c.sols) >= cacheMaxEntries {
-		c.sols = make(map[latKey]latVal)
+	if c != nil {
+		c.mu.Lock()
+		if len(c.sols) >= cacheMaxEntries {
+			clear(c.sols)
+		}
+		c.sols[k] = latVal{p95: p95, frac: frac}
+		c.mu.Unlock()
 	}
-	c.sols[k] = latVal{p95: p95, frac: frac}
-	c.mu.Unlock()
 	return p95, frac
 }
