@@ -21,9 +21,9 @@ import (
 // the stranded watts to the starved nodes; because the simulator's power
 // curve is convex in frequency, a watt buys more best-effort progress on
 // a throttled node than it bought on a saturated one, so the fleet gains
-// both throughput and QoS at the same total budget. bench, experiments
-// and the golden battery all build the scenario through here, so they
-// compare and pin exactly the same physics.
+// both throughput and QoS at the same total budget. The repository
+// benchmark, experiments and the test batteries all build the scenario
+// through here, so they compare and pin exactly the same physics.
 type CoordFleetOptions struct {
 	// Nodes is the fleet size; EvenCapW the per-node static cap the
 	// budget is carved from (BudgetW = Nodes × EvenCapW).

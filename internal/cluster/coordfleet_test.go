@@ -193,6 +193,31 @@ func coordGoldenScenarioCluster(t *testing.T, parallelism int, sink *obs.Sink) (
 	return c, o.Trace(), o.DurationS
 }
 
+// TestCoordinationBeatsEvenSplit is the coordinator's reason to exist:
+// on the pinned diurnal fleet, arbitrated caps must buy strictly more
+// best-effort throughput than the static even split of the same budget,
+// at an equal-or-better QoS rate, even while the coordinator chaos plan
+// drops reports and takes the coordinator down.
+func TestCoordinationBeatsEvenSplit(t *testing.T) {
+	o := DefaultCoordFleet(20260806)
+	c, err := BuildCoordFleet(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Parallelism = 1
+	even := c.Run(o.Trace(), o.DurationS)
+	granted := coordGoldenScenario(t, 1)
+	t.Logf("even: qos %.6f be %.2f | granted: qos %.6f be %.2f",
+		even.QoSRate, even.MeanBEThroughputUPS, granted.QoSRate, granted.MeanBEThroughputUPS)
+	if granted.MeanBEThroughputUPS <= even.MeanBEThroughputUPS {
+		t.Errorf("coordinated caps do not beat the even split on BE throughput: %.2f vs %.2f UPS",
+			granted.MeanBEThroughputUPS, even.MeanBEThroughputUPS)
+	}
+	if granted.QoSRate < even.QoSRate {
+		t.Errorf("coordinated caps sacrifice QoS: %.6f vs even %.6f", granted.QoSRate, even.QoSRate)
+	}
+}
+
 func TestGoldenCoordSummary(t *testing.T) {
 	got := coordGoldenScenario(t, 1).Summary()
 	path := filepath.Join("testdata", "coord_summary.golden")

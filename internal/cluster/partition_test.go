@@ -102,6 +102,31 @@ func TestPartitionLeasedBeatsStaleCliff(t *testing.T) {
 	}
 }
 
+// TestPartitionWinGate holds the win at a node-stepping fan-out of 4:
+// both arms stay invariant-clean, the stale-cliff baseline replays its
+// parallelism-1 summary byte for byte, and leased BE throughput is
+// still at least the stale baseline's.
+func TestPartitionWinGate(t *testing.T) {
+	ref, o := partitionFleet(t, false, 1, EngineStep)
+	want := ref.Run(o.Trace(), o.DurationS).Summary()
+	stale, _ := partitionFleet(t, false, 4, EngineStep)
+	staleRes := stale.Run(o.Trace(), o.DurationS)
+	leased, _ := partitionFleet(t, true, 4, EngineStep)
+	leasedRes := leased.Run(o.Trace(), o.DurationS)
+
+	requireNoViolations(t, "stale par=4", stale.Invariants)
+	requireNoViolations(t, "leased par=4", leased.Invariants)
+	if got := staleRes.Summary(); got != want {
+		t.Fatalf("stale baseline diverges at parallelism 4.\n--- par=1 ---\n%s--- par=4 ---\n%s", want, got)
+	}
+	t.Logf("stale: qos %.6f be %.2f | leased: qos %.6f be %.2f",
+		staleRes.QoSRate, staleRes.MeanBEThroughputUPS, leasedRes.QoSRate, leasedRes.MeanBEThroughputUPS)
+	if leasedRes.MeanBEThroughputUPS < staleRes.MeanBEThroughputUPS {
+		t.Errorf("leased degraded mode lost BE throughput to the stale-cap cliff at parallelism 4: %.2f < %.2f",
+			leasedRes.MeanBEThroughputUPS, staleRes.MeanBEThroughputUPS)
+	}
+}
+
 // TestGoldenCoordPartitionSummary pins the leased partition run's full
 // trajectory byte-for-byte.
 func TestGoldenCoordPartitionSummary(t *testing.T) {

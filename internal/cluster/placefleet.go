@@ -23,8 +23,8 @@ import (
 // pairing strands frequency-hungry jobs on starved nodes; the
 // placement solver puts them where the watts are, and the migration
 // planner keeps it that way when flash crowds shift the power picture
-// mid-run. bench, experiments and the golden battery all build the
-// scenario through here.
+// mid-run. Experiments and the test batteries all build the scenario
+// through here.
 type PlacementFleetOptions struct {
 	// Nodes is the fleet size; caps rotate Rich → Starved → Mid →
 	// Starved across it (see CapW).

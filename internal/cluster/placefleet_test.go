@@ -94,6 +94,23 @@ func TestPlacementBeatsRandomPairing(t *testing.T) {
 	}
 }
 
+// TestPlacementWinGate holds the win at a node-stepping fan-out of 4:
+// the parallel fleet must still rank placement strictly above random
+// pairing on BE throughput at an equal-or-better QoS rate.
+func TestPlacementWinGate(t *testing.T) {
+	random := placeScenario(t, false, 4)
+	placed := placeScenario(t, true, 4)
+	t.Logf("random: qos %.6f be %.2f | placed: qos %.6f be %.2f",
+		random.QoSRate, random.MeanBEThroughputUPS, placed.QoSRate, placed.MeanBEThroughputUPS)
+	if placed.MeanBEThroughputUPS <= random.MeanBEThroughputUPS {
+		t.Errorf("placement does not beat random pairing at parallelism 4: %.2f vs %.2f UPS",
+			placed.MeanBEThroughputUPS, random.MeanBEThroughputUPS)
+	}
+	if placed.QoSRate < random.QoSRate {
+		t.Errorf("placement sacrifices QoS at parallelism 4: %.6f vs random %.6f", placed.QoSRate, random.QoSRate)
+	}
+}
+
 // TestPlacementParallelismByteIdentical pins the acceptance criterion
 // that both arms are byte-identical at any node-stepping fan-out: the
 // planner runs in the serial merge, so worker count must change

@@ -1,5 +1,5 @@
 // Package cmdutil is the flag surface the sturgeon binaries share:
-// every command (cmd/bench, cmd/repro, cmd/sturgeond) takes -seed,
+// every command (cmd/repro, cmd/sturgeond) takes -seed,
 // -json and -version with one spelling and one meaning, registered
 // through here instead of hand-rolled per binary.
 package cmdutil

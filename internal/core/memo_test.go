@@ -135,10 +135,27 @@ func BenchmarkSearcherBestConfig(b *testing.B) {
 	}
 }
 
-func BenchmarkSearcherBestConfigMemoHit(b *testing.B) {
+// memoHitSearcher returns a searcher whose memo already holds the
+// answer for 30 000 QPS.
+func memoHitSearcher() *Searcher {
 	spec := hw.DefaultSpec()
 	s := &Searcher{Spec: spec, Pred: gridOracle{spec}, Budget: 160}
 	s.BestConfig(30000)
+	return s
+}
+
+// TestSearchMemoHitAllocFree pins a memoized BestConfig at zero heap
+// allocations: the fleet case, where many nodes ask the same question
+// every second, must cost a map lookup and nothing else.
+func TestSearchMemoHitAllocFree(t *testing.T) {
+	s := memoHitSearcher()
+	if allocs := testing.AllocsPerRun(100, func() { s.BestConfig(30000) }); allocs != 0 {
+		t.Fatalf("memo hit allocates %v times per call, want 0", allocs)
+	}
+}
+
+func BenchmarkSearcherBestConfigMemoHit(b *testing.B) {
+	s := memoHitSearcher()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.BestConfig(30000)

@@ -300,7 +300,8 @@ func TestPlacementShowdownQuickShape(t *testing.T) {
 		t.Errorf("placement does not beat random pairing: %.2f vs %.2f UPS", be1, be0)
 	}
 	// QoS must be preserved to within contention noise: the quick env's
-	// seed is arbitrary (the strict gate runs on the pinned bench pair),
+	// seed is arbitrary (the strict gate, TestPlacementBeatsRandomPairing,
+	// runs on the pinned scenario),
 	// and BE co-location shifts LS tail latency by fractions of a percent
 	// either way across seeds.
 	if q0, q1 := cell(0, "qos_rate"), cell(1, "qos_rate"); q1 < q0-0.005 {

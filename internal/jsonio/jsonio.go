@@ -1,8 +1,8 @@
 // Package jsonio is the shared schema-validating JSON persistence layer.
-// Three subsystems grew their own copy of the same pattern — the bench
-// report (internal/bench), the predictor manifest (internal/models) and
-// the model envelope (internal/mlkit) — and the fleet coordinator's wire
-// encoding would have been a fourth. The pattern is always: a value is
+// The predictor manifest (internal/models), the model envelope
+// (internal/mlkit), the fleet coordinator's wire encoding and state, the
+// durable store's snapshots, the placement plans and the observability
+// documents all share one pattern: a value is
 // validated before it is encoded (an invalid document is never written)
 // and immediately after it is decoded (an invalid document is never
 // accepted), with indented, newline-terminated JSON on disk so fixtures

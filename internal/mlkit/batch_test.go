@@ -118,7 +118,9 @@ func FuzzPredictBatch(f *testing.F) {
 	})
 }
 
-func BenchmarkPredictBatch(b *testing.B) {
+// treeBatch fits a regression tree and returns it with 64 queries.
+func treeBatch(tb testing.TB) (*TreeRegressor, [][]float64) {
+	tb.Helper()
 	m := &TreeRegressor{MaxDepth: 14, MinLeaf: 2}
 	rng := rand.New(rand.NewSource(7))
 	const n, d = 400, 4
@@ -133,9 +135,23 @@ func BenchmarkPredictBatch(b *testing.B) {
 		y[i] = 3*row[0] - 0.5*row[1] + row[2]*row[3]
 	}
 	if err := m.Fit(X, y); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	queries := batchQueries(rng, 64)
+	return m, batchQueries(rng, 64)
+}
+
+// TestPredictBatchAllocFree pins the batched path at zero heap
+// allocations once the caller's dst has grown to the batch size.
+func TestPredictBatchAllocFree(t *testing.T) {
+	m, queries := treeBatch(t)
+	var dst []float64
+	if allocs := testing.AllocsPerRun(100, func() { dst = PredictBatch(m, queries, dst[:0]) }); allocs != 0 {
+		t.Fatalf("PredictBatch allocates %v times per call, want 0", allocs)
+	}
+}
+
+func BenchmarkPredictBatch(b *testing.B) {
+	m, queries := treeBatch(b)
 	var dst []float64
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,13 +7,30 @@ import (
 	"sturgeon/internal/workload"
 )
 
-// BenchmarkScorerBest measures one memoized scorer query — the unit of
-// work the planner issues per (job, node) pair every epoch.
-func BenchmarkScorerBest(b *testing.B) {
+// warmScorer returns a scorer whose memo already holds the answer for
+// one (job model, QPS, 104 W cap) query, with that query's model and QPS.
+func warmScorer() (*Scorer, PairModel, float64) {
 	sc := NewScorer(hw.DefaultSpec())
 	m := NewPhysics(workload.Memcached(), workload.Blackscholes())
 	qps := 0.45 * workload.Memcached().PeakQPS
-	sc.Best(m, qps, 104) // warm the memo: steady-state epochs hit it
+	sc.Best(m, qps, 104)
+	return sc, m, qps
+}
+
+// TestScorerBestAllocFree pins a memoized scorer query — what the
+// planner issues per (job, node) pair in a steady epoch — at zero heap
+// allocations.
+func TestScorerBestAllocFree(t *testing.T) {
+	sc, m, qps := warmScorer()
+	if allocs := testing.AllocsPerRun(100, func() { sc.Best(m, qps, 104) }); allocs != 0 {
+		t.Fatalf("memoized Best allocates %v times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkScorerBest measures one memoized scorer query — the unit of
+// work the planner issues per (job, node) pair every epoch.
+func BenchmarkScorerBest(b *testing.B) {
+	sc, m, qps := warmScorer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 // Package pool is the deterministic fork-join worker pool behind the
 // simulator's parallel hot paths (cluster stepping, the §V-B candidate
-// sweep, the Fig. 9/10 per-pair evaluations and the benchmark harness).
+// sweep and the Fig. 9/10 per-pair evaluations).
 //
 // The pool deliberately has no ordering freedom a caller can observe:
 // tasks are identified by index, results are written into index-i slots
@@ -8,7 +8,7 @@
 // happens serially after ForEach returns, in index order. Parallelism
 // therefore changes wall-clock time and nothing else — a seeded run
 // produces byte-identical output at any worker count, which is what the
-// golden fixtures and the replay-determinism CI gate rely on.
+// golden fixtures and the parallelism byte-equality tests rely on.
 package pool
 
 import (
@@ -23,7 +23,7 @@ import (
 // any request is clamped to GOMAXPROCS — the pool exists for the
 // simulator's CPU-bound hot paths, where workers beyond the runtime's
 // parallel capacity cannot raise throughput but do add scheduling churn
-// (measurably so: see BENCH_fleet.json's parallelism sweep).
+// (and, on a shared host, contend with other processes for the cores).
 func Workers(p int) int {
 	if maxp := runtime.GOMAXPROCS(0); p <= 0 || p > maxp {
 		return maxp

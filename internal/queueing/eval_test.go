@@ -370,7 +370,8 @@ func TestEvaluatorFallbacks(t *testing.T) {
 
 // TestCacheMissAllocs pins that a warm cache serves misses — new queue,
 // new service distribution — without allocating: the s table is filled
-// in the evaluator and the full solve map is cleared, not rebuilt.
+// in the evaluator and the full solve map is cleared, not rebuilt. Hits
+// are a map lookup and allocate nothing either.
 func TestCacheMissAllocs(t *testing.T) {
 	c := NewCache()
 	var ev Evaluator
@@ -384,6 +385,11 @@ func TestCacheMissAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cache miss allocates %v times per solve, want 0", allocs)
+	}
+	a.SvcMean = 0.0003
+	c.Solve(a, 0.95, 0.01, &ev)
+	if allocs := testing.AllocsPerRun(200, func() { c.Solve(a, 0.95, 0.01, &ev) }); allocs != 0 {
+		t.Fatalf("cache hit allocates %v times per solve, want 0", allocs)
 	}
 }
 
