@@ -1,11 +1,8 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Network chaos between nodes and the coordinator. The node-level plans
@@ -324,48 +321,4 @@ func (p *NetPlan) ReorderedFlush(epoch int) bool {
 func (p *NetPlan) Empty() bool {
 	return p == nil || (len(p.outWindows) == 0 && len(p.inWindows) == 0 &&
 		len(p.drops) == 0 && len(p.delays) == 0 && len(p.dups) == 0)
-}
-
-// ParseNetSpec decodes a compact "key=value,key=value" network-chaos
-// string, mirroring ParseSpec's format, e.g.
-//
-//	partition=0.02,partition.dur=2,drop=0.05,delay=0.05,dup=0.05,reorder=0.25
-//
-// The empty string decodes to the zero NetSpec (no chaos); "default"
-// decodes to DefaultNetSpec.
-func ParseNetSpec(s string) (NetSpec, error) {
-	var spec NetSpec
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ',' || r == ';' || r == ' ' || r == '\t' || r == '\n' || r == '\r'
-	})
-	if len(fields) == 1 && fields[0] == "default" {
-		return DefaultNetSpec(), nil
-	}
-	for _, kv := range fields {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return NetSpec{}, fmt.Errorf("faults: %q is not key=value", kv)
-		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return NetSpec{}, fmt.Errorf("faults: %s: %v", key, err)
-		}
-		switch strings.TrimSpace(key) {
-		case "partition":
-			spec.PartitionRate = x
-		case "partition.dur":
-			spec.MeanPartitionEpochs = x
-		case "drop":
-			spec.DropRate = x
-		case "delay":
-			spec.DelayRate = x
-		case "dup":
-			spec.DupRate = x
-		case "reorder":
-			spec.ReorderRate = x
-		default:
-			return NetSpec{}, fmt.Errorf("faults: unknown net knob %q", key)
-		}
-	}
-	return spec, nil
 }

@@ -1,6 +1,9 @@
 package faults
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNetPlanDeterministic(t *testing.T) {
 	spec := DefaultNetSpec()
@@ -82,10 +85,10 @@ func TestNewNetHostileRatesClamp(t *testing.T) {
 	hostile := NetSpec{
 		PartitionRate:       2,
 		MeanPartitionEpochs: -3,
-		DropRate:            nan(),
+		DropRate:            math.NaN(),
 		DelayRate:           -1,
 		DupRate:             1e308,
-		ReorderRate:         nan(),
+		ReorderRate:         math.NaN(),
 	}
 	p := NewNet(hostile, 9, 20, 3)
 	// PartitionRate 2 clamps to 1: a window always opens at epoch 1 on
@@ -109,43 +112,25 @@ func TestNewNetHostileRatesClamp(t *testing.T) {
 	}
 }
 
-func TestParseNetSpec(t *testing.T) {
-	got, err := ParseNetSpec("partition=0.02,partition.dur=3, drop=0.05,delay=0.1,dup=0.2,reorder=0.25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NetSpec{PartitionRate: 0.02, MeanPartitionEpochs: 3,
-		DropRate: 0.05, DelayRate: 0.1, DupRate: 0.2, ReorderRate: 0.25}
-	if got != want {
-		t.Fatalf("got %+v, want %+v", got, want)
-	}
-	if got, err := ParseNetSpec("default"); err != nil || got != DefaultNetSpec() {
-		t.Fatalf("default: %+v, %v", got, err)
-	}
-	if got, err := ParseNetSpec(""); err != nil || got != (NetSpec{}) {
-		t.Fatalf("empty: %+v, %v", got, err)
-	}
-	for _, bad := range []string{"bogus=1", "drop", "drop=x", "drop=0.1,=2"} {
-		if _, err := ParseNetSpec(bad); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
-	}
-}
-
-// FuzzNetPlanDecode hammers the net-chaos decoder + constructor: any
-// accepted spec string must materialize (without panicking) into a
-// plan that is deterministic and keeps every fate inside the run's
-// (epoch, node) box no matter how hostile the knobs.
+// FuzzNetPlanDecode hammers the net-chaos constructor with raw NetSpec
+// knobs (NaN, ±Inf and negatives included): any spec must materialize
+// (without panicking) into a plan that is deterministic and keeps every
+// fate inside the run's (epoch, node) box no matter how hostile the
+// knobs.
 func FuzzNetPlanDecode(f *testing.F) {
-	f.Add("partition=0.02,partition.dur=2,drop=0.05,delay=0.05,dup=0.05,reorder=0.25", int64(1), 50, 8)
-	f.Add("default", int64(42), 96, 8)
-	f.Add("", int64(0), 0, 0)
-	f.Add("partition=1,partition.dur=NaN", int64(-9), 30, 2)
-	f.Add("drop=Inf,delay=-5,dup=1e308,reorder=2", int64(7), 10, -3)
-	f.Fuzz(func(t *testing.T, src string, seed int64, epochs, nodes int) {
-		spec, err := ParseNetSpec(src)
-		if err != nil {
-			return
+	f.Add(0.02, 2.0, 0.05, 0.05, 0.05, 0.25, int64(1), 50, 8)
+	f.Add(0.02, 2.0, 0.05, 0.05, 0.05, 0.25, int64(42), 96, 8) // DefaultNetSpec
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(0), 0, 0)
+	f.Add(1.0, math.NaN(), 0.0, 0.0, 0.0, 0.0, int64(-9), 30, 2)
+	f.Add(0.0, 0.0, math.Inf(1), -5.0, 1e308, 2.0, int64(7), 10, -3)
+	f.Fuzz(func(t *testing.T, partition, dur, drop, delay, dup, reorder float64, seed int64, epochs, nodes int) {
+		spec := NetSpec{
+			PartitionRate:       partition,
+			MeanPartitionEpochs: dur,
+			DropRate:            drop,
+			DelayRate:           delay,
+			DupRate:             dup,
+			ReorderRate:         reorder,
 		}
 		if epochs > 512 {
 			epochs %= 512 // keep fuzz iterations fast
@@ -180,9 +165,4 @@ func FuzzNetPlanDecode(f *testing.F) {
 			}
 		}
 	})
-}
-
-func nan() float64 {
-	z := 0.0
-	return z / z
 }

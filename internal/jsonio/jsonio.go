@@ -1,12 +1,11 @@
 // Package jsonio is the shared schema-validating JSON persistence layer.
 // The predictor manifest (internal/models), the model envelope
 // (internal/mlkit), the fleet coordinator's wire encoding and state, the
-// durable store's snapshots, the placement plans and the observability
-// documents all share one pattern: a value is
-// validated before it is encoded (an invalid document is never written)
-// and immediately after it is decoded (an invalid document is never
-// accepted), with indented, newline-terminated JSON on disk so fixtures
-// diff cleanly.
+// durable store's snapshots and the observability documents all share
+// one pattern: a value is validated before it is encoded (an invalid
+// document is never written) and immediately after it is decoded (an
+// invalid document is never accepted), with indented, newline-terminated
+// JSON on disk so fixtures diff cleanly.
 package jsonio
 
 import (

@@ -83,43 +83,3 @@ func (m *TreeRegressor) PredictBatch(X [][]float64, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// PredictBatch implements BatchRegressor, reusing one feature-mask
-// projection buffer across the whole batch.
-func (m *ForestRegressor) PredictBatch(X [][]float64, dst []float64) []float64 {
-	if len(m.trees) == 0 {
-		for range X {
-			dst = append(dst, 0)
-		}
-		return dst
-	}
-	var proj []float64
-	for _, x := range X {
-		sum := 0.0
-		for t, tree := range m.trees {
-			proj = proj[:0]
-			for _, f := range m.masks[t] {
-				if f < len(x) {
-					proj = append(proj, x[f])
-				} else {
-					proj = append(proj, 0)
-				}
-			}
-			sum += tree.Predict(proj)
-		}
-		dst = append(dst, sum/float64(len(m.trees)))
-	}
-	return dst
-}
-
-// PredictBatch implements BatchRegressor.
-func (m *GBMRegressor) PredictBatch(X [][]float64, dst []float64) []float64 {
-	for _, x := range X {
-		v := m.base
-		for _, t := range m.trees {
-			v += m.lr * t.Predict(x)
-		}
-		dst = append(dst, v)
-	}
-	return dst
-}

@@ -9,8 +9,8 @@ import (
 
 // batchModels trains one regressor of every family on the same
 // predictor-shaped synthetic data: the five technique regressors plus
-// the ensemble models, so the batch/point equivalence property covers
-// both the fast paths and the point-API fallback.
+// Lasso, so the batch/point equivalence property covers both the fast
+// paths and the point-API fallback.
 func batchModels(tb testing.TB) map[string]Regressor {
 	rng := rand.New(rand.NewSource(7))
 	const n, d = 400, 4
@@ -25,9 +25,7 @@ func batchModels(tb testing.TB) map[string]Regressor {
 		y[i] = 3*row[0] - 0.5*row[1]*row[2] + math.Sin(row[3]) + rng.NormFloat64()*0.1
 	}
 	models := map[string]Regressor{
-		"lasso":  &Lasso{Lambda: 0.01, Iters: 200},
-		"forest": &ForestRegressor{Trees: 12, MaxDepth: 8, Seed: 3},
-		"gbm":    &GBMRegressor{Trees: 30, Depth: 4},
+		"lasso": &Lasso{Lambda: 0.01, Iters: 200},
 	}
 	for _, t := range AllTechniques() {
 		models[string(t)] = t.NewRegressor(11)
@@ -75,10 +73,10 @@ func TestPredictBatchEquivalence(t *testing.T) {
 }
 
 // TestPredictBatchUntrained pins the degenerate-model behavior the
-// point API has: untrained lasso/forest answer 0, not a panic.
+// point API has: an untrained lasso answers 0, not a panic.
 func TestPredictBatchUntrained(t *testing.T) {
 	queries := batchQueries(rand.New(rand.NewSource(1)), 3)
-	for name, m := range map[string]Regressor{"lasso": &Lasso{}, "forest": &ForestRegressor{}} {
+	for name, m := range map[string]Regressor{"lasso": &Lasso{}} {
 		out := PredictBatch(m, queries, nil)
 		for i, v := range out {
 			if want := m.Predict(queries[i]); math.Float64bits(v) != math.Float64bits(want) {

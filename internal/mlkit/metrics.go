@@ -32,31 +32,6 @@ func R2(yTrue, yPred []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// MSE returns the mean squared error.
-func MSE(yTrue, yPred []float64) float64 {
-	if len(yTrue) == 0 || len(yTrue) != len(yPred) {
-		return math.NaN()
-	}
-	var s float64
-	for i := range yTrue {
-		d := yTrue[i] - yPred[i]
-		s += d * d
-	}
-	return s / float64(len(yTrue))
-}
-
-// MAE returns the mean absolute error.
-func MAE(yTrue, yPred []float64) float64 {
-	if len(yTrue) == 0 || len(yTrue) != len(yPred) {
-		return math.NaN()
-	}
-	var s float64
-	for i := range yTrue {
-		s += math.Abs(yTrue[i] - yPred[i])
-	}
-	return s / float64(len(yTrue))
-}
-
 // Accuracy returns the fraction of matching labels.
 func Accuracy(yTrue, yPred []int) float64 {
 	if len(yTrue) == 0 || len(yTrue) != len(yPred) {
@@ -95,36 +70,4 @@ func EvaluateClassifier(m Classifier, trainX [][]float64, trainY []int, testX []
 		pred[i] = m.PredictClass(x)
 	}
 	return Accuracy(testY, pred), nil
-}
-
-// KFold yields k (train, test) index partitions of n samples in order.
-// The last folds absorb the remainder.
-func KFold(n, k int) [][2][]int {
-	if k < 2 {
-		k = 2
-	}
-	if k > n {
-		k = n
-	}
-	folds := make([][2][]int, 0, k)
-	size := n / k
-	extra := n % k
-	start := 0
-	for f := 0; f < k; f++ {
-		sz := size
-		if f < extra {
-			sz++
-		}
-		var test, train []int
-		for i := 0; i < n; i++ {
-			if i >= start && i < start+sz {
-				test = append(test, i)
-			} else {
-				train = append(train, i)
-			}
-		}
-		folds = append(folds, [2][]int{train, test})
-		start += sz
-	}
-	return folds
 }

@@ -80,44 +80,12 @@ func TestR2(t *testing.T) {
 	}
 }
 
-func TestMSEAndMAE(t *testing.T) {
-	yt := []float64{1, 2}
-	yp := []float64{2, 4}
-	if got := MSE(yt, yp); got != 2.5 {
-		t.Errorf("MSE = %v, want 2.5", got)
-	}
-	if got := MAE(yt, yp); got != 1.5 {
-		t.Errorf("MAE = %v, want 1.5", got)
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	if got := Accuracy([]int{1, 0, 1, 1}, []int{1, 0, 0, 1}); got != 0.75 {
 		t.Errorf("Accuracy = %v, want 0.75", got)
 	}
 	if !math.IsNaN(Accuracy(nil, nil)) {
 		t.Error("empty Accuracy should be NaN")
-	}
-}
-
-func TestKFold(t *testing.T) {
-	folds := KFold(10, 3)
-	if len(folds) != 3 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := map[int]int{}
-	for _, f := range folds {
-		if len(f[0])+len(f[1]) != 10 {
-			t.Errorf("fold sizes %d+%d != 10", len(f[0]), len(f[1]))
-		}
-		for _, i := range f[1] {
-			seen[i]++
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if seen[i] != 1 {
-			t.Errorf("index %d appeared in %d test folds", i, seen[i])
-		}
 	}
 }
 

@@ -138,11 +138,6 @@ type linearSnap struct {
 	YSD       float64
 }
 
-type forestSnap struct {
-	Trees []treeSnap
-	Masks [][]int
-}
-
 // EnvelopeSchema tags the model envelope documents on disk.
 const EnvelopeSchema = "sturgeon/mlkit-model/v1"
 
@@ -219,20 +214,6 @@ func Save(w io.Writer, model interface{}) error {
 	case *Lasso:
 		env.Kind = "lasso"
 		payload = linearSnap{Coef: m.coef, Intercept: m.intercept, Scaler: snapScaler(m.scaler), YMean: m.yMean}
-	case *ForestRegressor:
-		fs := forestSnap{Masks: m.masks}
-		for _, t := range m.trees {
-			fs.Trees = append(fs.Trees, snapTree(t.root))
-		}
-		env.Kind = "forest-reg"
-		payload = fs
-	case *ForestClassifier:
-		fs := forestSnap{Masks: m.reg.masks}
-		for _, t := range m.reg.trees {
-			fs.Trees = append(fs.Trees, snapTree(t.root))
-		}
-		env.Kind = "forest-clf"
-		payload = fs
 	default:
 		return fmt.Errorf("mlkit: cannot save model of type %T", model)
 	}
@@ -319,24 +300,6 @@ func Load(r io.Reader) (interface{}, error) {
 			return nil, err
 		}
 		return &Lasso{coef: s.Coef, intercept: s.Intercept, scaler: s.Scaler.restore(), yMean: s.YMean}, nil
-	case "forest-reg", "forest-clf":
-		var s forestSnap
-		if err := decodePayload(env.Blob, &s); err != nil {
-			return nil, err
-		}
-		var trees []*TreeRegressor
-		for _, ts := range s.Trees {
-			root, err := ts.restore()
-			if err != nil {
-				return nil, err
-			}
-			trees = append(trees, &TreeRegressor{root: root})
-		}
-		fr := ForestRegressor{trees: trees, masks: s.Masks}
-		if env.Kind == "forest-reg" {
-			return &fr, nil
-		}
-		return &ForestClassifier{reg: fr}, nil
 	default:
 		return nil, fmt.Errorf("mlkit: unknown model kind %q", env.Kind)
 	}

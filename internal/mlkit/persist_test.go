@@ -16,7 +16,6 @@ func TestSaveLoadRegressorsRoundTrip(t *testing.T) {
 		"linear": &LinearRegression{},
 		"svr":    &SVR{Seed: 1},
 		"lasso":  &Lasso{Lambda: 0.01},
-		"forest": &ForestRegressor{Seed: 1, Trees: 10},
 	}
 	for name, m := range regs {
 		name, m := name, m
@@ -50,7 +49,6 @@ func TestSaveLoadClassifiersRoundTrip(t *testing.T) {
 		"mlp":      &MLPClassifier{Epochs: 40, Seed: 1},
 		"logistic": &LogisticRegression{},
 		"svm":      &SVMClassifier{Seed: 1},
-		"forest":   &ForestClassifier{Seed: 1, Trees: 10},
 	}
 	for name, m := range clfs {
 		name, m := name, m

@@ -11,6 +11,16 @@ import (
 	"sturgeon/internal/workload"
 )
 
+// QuietNode builds a node with noise and interference disabled, so
+// step results are a pure function of the partition.
+func QuietNode(apps Apps, seed int64) *Node {
+	n := NewNode(apps, seed)
+	n.Meter = power.NewMeter(0, nil)
+	n.Interf = sim.None()
+	n.P95NoiseSD = 0
+	return n
+}
+
 // Fixture: memcached + xapian sharing a node with raytrace + swaptions.
 var (
 	fixOnce sync.Once

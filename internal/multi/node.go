@@ -75,15 +75,6 @@ func NewNode(apps Apps, seed int64) *Node {
 	return n
 }
 
-// QuietNode disables noise and interference (profiling/analysis).
-func QuietNode(apps Apps, seed int64) *Node {
-	n := NewNode(apps, seed)
-	n.Meter = power.NewMeter(0, nil)
-	n.Interf = sim.None()
-	n.P95NoiseSD = 0
-	return n
-}
-
 // Apply installs a partition.
 func (n *Node) Apply(p Partition) error {
 	if len(p) != len(n.Apps) {

@@ -95,12 +95,9 @@ type Event struct {
 // (counted in Dropped), so a long run keeps a recent decision tail at a
 // fixed memory cost. All methods are nil-safe.
 type Journal struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // ring index of the oldest retained event
-	n       int // retained count
-	seq     int64
-	dropped int64
+	mu   sync.Mutex
+	ring ring[Event]
+	seq  int64
 }
 
 // DefaultJournalCap is the ring capacity NewJournal uses for cap <= 0.
@@ -111,7 +108,7 @@ func NewJournal(cap int) *Journal {
 	if cap <= 0 {
 		cap = DefaultJournalCap
 	}
-	return &Journal{buf: make([]Event, cap)}
+	return &Journal{ring: newRing[Event](cap)}
 }
 
 // Append stamps ev with the next sequence number and stores it,
@@ -124,14 +121,7 @@ func (j *Journal) Append(ev Event) int64 {
 	defer j.mu.Unlock()
 	j.seq++
 	ev.Seq = j.seq
-	if j.n == len(j.buf) {
-		j.buf[j.start] = ev
-		j.start = (j.start + 1) % len(j.buf)
-		j.dropped++
-	} else {
-		j.buf[(j.start+j.n)%len(j.buf)] = ev
-		j.n++
-	}
+	j.ring.push(ev)
 	return ev.Seq
 }
 
@@ -143,14 +133,7 @@ func (j *Journal) Since(seq int64) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var out []Event
-	for i := 0; i < j.n; i++ {
-		ev := j.buf[(j.start+i)%len(j.buf)]
-		if ev.Seq > seq {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return j.ring.appendFrom(nil, j.ring.after(j.seq, seq))
 }
 
 // DrainTo re-appends every retained event with Seq > seq onto dst
@@ -166,12 +149,8 @@ func (j *Journal) DrainTo(dst *Journal, seq int64) int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	first := j.seq - int64(j.n) // seq before the oldest retained event
-	if seq < first {
-		seq = first
-	}
-	for s := seq + 1; s <= j.seq; s++ {
-		dst.Append(j.buf[(j.start+int(s-first-1))%len(j.buf)])
+	for i := j.ring.after(j.seq, seq); i < j.ring.n; i++ {
+		dst.Append(j.ring.at(i))
 	}
 	return j.seq
 }
@@ -194,7 +173,7 @@ func (j *Journal) Dropped() int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.dropped
+	return j.ring.dropped
 }
 
 // EventsDoc is the persisted journal ("sturgeon/events/v1"): the

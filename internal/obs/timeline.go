@@ -42,13 +42,10 @@ type Bin struct {
 // rollup accumulates one resolution tier: sealed bins in a bounded
 // ring plus the currently-open bin.
 type rollup struct {
-	resS    int
-	bins    []Bin
-	start   int
-	n       int
-	dropped int64
-	cur     Bin
-	curSet  bool
+	resS   int
+	bins   ring[Bin]
+	cur    Bin
+	curSet bool
 }
 
 func (r *rollup) observe(t, v float64) {
@@ -80,23 +77,13 @@ func (r *rollup) seal() {
 	if !r.curSet {
 		return
 	}
-	if r.n == len(r.bins) {
-		r.bins[r.start] = r.cur
-		r.start = (r.start + 1) % len(r.bins)
-		r.dropped++
-	} else {
-		r.bins[(r.start+r.n)%len(r.bins)] = r.cur
-		r.n++
-	}
+	r.bins.push(r.cur)
 	r.curSet = false
 }
 
 // snapshot returns sealed bins oldest-first plus the open bin.
 func (r *rollup) snapshot() []Bin {
-	out := make([]Bin, 0, r.n+1)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.bins[(r.start+i)%len(r.bins)])
-	}
+	out := r.bins.appendFrom(make([]Bin, 0, r.bins.n+1), 0)
 	if r.curSet {
 		out = append(out, r.cur)
 	}
@@ -104,7 +91,8 @@ func (r *rollup) snapshot() []Bin {
 }
 
 func (r *rollup) reset() {
-	r.start, r.n, r.dropped, r.curSet = 0, 0, 0, false
+	r.bins.reset()
+	r.curSet = false
 }
 
 // TSeries is one recorded time series: a bounded raw ring plus 10s/60s
@@ -113,25 +101,22 @@ func (r *rollup) reset() {
 // how a sink shared across several runs (cmd/repro -exp all) keeps the
 // exported timeline describing the last run. All methods are nil-safe.
 type TSeries struct {
-	mu      sync.Mutex
-	name    string
-	raw     []Point
-	start   int
-	n       int
-	dropped int64
-	lastT   float64
-	seen    bool
-	tiers   []rollup
+	mu    sync.Mutex
+	name  string
+	raw   ring[Point]
+	lastT float64
+	seen  bool
+	tiers []rollup
 }
 
 func newTSeries(name string, rawCap int) *TSeries {
 	if rawCap <= 0 {
 		rawCap = DefaultRawCap
 	}
-	s := &TSeries{name: name, raw: make([]Point, rawCap)}
+	s := &TSeries{name: name, raw: newRing[Point](rawCap)}
 	s.tiers = make([]rollup, len(timelineRollups))
 	for i, res := range timelineRollups {
-		s.tiers[i] = rollup{resS: res, bins: make([]Bin, DefaultBinCap)}
+		s.tiers[i] = rollup{resS: res, bins: newRing[Bin](DefaultBinCap)}
 	}
 	return s
 }
@@ -145,20 +130,13 @@ func (s *TSeries) Observe(t, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seen && t <= s.lastT {
-		s.start, s.n, s.dropped = 0, 0, 0
+		s.raw.reset()
 		for i := range s.tiers {
 			s.tiers[i].reset()
 		}
 	}
 	s.lastT, s.seen = t, true
-	if s.n == len(s.raw) {
-		s.raw[s.start] = Point{T: t, V: v}
-		s.start = (s.start + 1) % len(s.raw)
-		s.dropped++
-	} else {
-		s.raw[(s.start+s.n)%len(s.raw)] = Point{T: t, V: v}
-		s.n++
-	}
+	s.raw.push(Point{T: t, V: v})
 	for i := range s.tiers {
 		s.tiers[i].observe(t, v)
 	}
@@ -305,16 +283,16 @@ func (r *Recorder) Doc() *TimelineDoc {
 	r.mu.Unlock()
 	for i, s := range series {
 		s.mu.Lock()
-		sd := SeriesDoc{Name: names[i], Dropped: s.dropped}
-		sd.Raw = make([]Point, 0, s.n)
-		for j := 0; j < s.n; j++ {
-			sd.Raw = append(sd.Raw, s.raw[(s.start+j)%len(s.raw)])
+		sd := SeriesDoc{
+			Name:    names[i],
+			Dropped: s.raw.dropped,
+			Raw:     s.raw.appendFrom(make([]Point, 0, s.raw.n), 0),
 		}
 		for t := range s.tiers {
 			tier := &s.tiers[t]
 			sd.Rollups = append(sd.Rollups, BinsDoc{
 				ResS:    tier.resS,
-				Dropped: tier.dropped,
+				Dropped: tier.bins.dropped,
 				Bins:    tier.snapshot(),
 			})
 		}

@@ -85,14 +85,11 @@ const DefaultTraceCap = 16384
 // counter disambiguates repeated spans at the same simulated second.
 // All methods are nil-safe.
 type Tracer struct {
-	mu      sync.Mutex
-	seed    int64
-	buf     []Span
-	start   int // ring index of the oldest retained span
-	n       int // retained count
-	seq     int64
-	dropped int64
-	sites   map[siteKey]uint64
+	mu    sync.Mutex
+	seed  int64
+	ring  ring[Span]
+	seq   int64
+	sites map[siteKey]uint64
 }
 
 type siteKey struct{ kind, node string }
@@ -103,7 +100,7 @@ func NewTracer(seed int64, cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultTraceCap
 	}
-	return &Tracer{seed: seed, buf: make([]Span, cap), sites: make(map[siteKey]uint64)}
+	return &Tracer{seed: seed, ring: newRing[Span](cap), sites: make(map[siteKey]uint64)}
 }
 
 // Seed returns the id-derivation seed (0 through nil).
@@ -215,14 +212,7 @@ func (t *Tracer) Adopt(sp Span) {
 func (t *Tracer) append(sp Span) {
 	t.seq++
 	sp.Seq = t.seq
-	if t.n == len(t.buf) {
-		t.buf[t.start] = sp
-		t.start = (t.start + 1) % len(t.buf)
-		t.dropped++
-	} else {
-		t.buf[(t.start+t.n)%len(t.buf)] = sp
-		t.n++
-	}
+	t.ring.push(sp)
 }
 
 // DrainTo adopts every retained span with Seq > seq into dst (which
@@ -237,12 +227,8 @@ func (t *Tracer) DrainTo(dst *Tracer, seq int64) int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	first := t.seq - int64(t.n) // seq before the oldest retained span
-	if seq < first {
-		seq = first
-	}
-	for s := seq + 1; s <= t.seq; s++ {
-		dst.Adopt(t.buf[(t.start+int(s-first-1))%len(t.buf)])
+	for i := t.ring.after(t.seq, seq); i < t.ring.n; i++ {
+		dst.Adopt(t.ring.at(i))
 	}
 	return t.seq
 }
@@ -254,14 +240,7 @@ func (t *Tracer) Since(seq int64) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	for i := 0; i < t.n; i++ {
-		sp := t.buf[(t.start+i)%len(t.buf)]
-		if sp.Seq > seq {
-			out = append(out, sp)
-		}
-	}
-	return out
+	return t.ring.appendFrom(nil, t.ring.after(t.seq, seq))
 }
 
 // LastSeq returns the newest assigned sequence number.
@@ -281,7 +260,7 @@ func (t *Tracer) Dropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.dropped
 }
 
 // TraceDoc is the persisted trace ("sturgeon/trace/v1"): the retained

@@ -275,50 +275,3 @@ func TestPlannerConsolidatesInTrough(t *testing.T) {
 		t.Fatalf("want one consolidation move, got %+v", moves)
 	}
 }
-
-func TestPlanDocRoundTripAndValidation(t *testing.T) {
-	d := &PlanDoc{
-		Schema:     PlanSchema,
-		Jobs:       3,
-		Nodes:      4,
-		Assignment: []int{2, 0, -1},
-		Moves: []PlanMove{
-			{Job: 0, From: 2, To: 1, Reason: ReasonStarved, Epoch: 4},
-			{Job: 2, From: -1, To: 3},
-		},
-	}
-	// Move 1 is invalid: job 2 was never placed.
-	if err := d.Validate(); err == nil {
-		t.Fatalf("expected replay failure for unplaced job move")
-	}
-	d.Moves = d.Moves[:1]
-	data, err := EncodePlan(d)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := DecodePlan(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	final, err := back.Apply()
-	if err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	if want := []int{1, 0, -1}; !reflect.DeepEqual(final, want) {
-		t.Fatalf("final assignment %v, want %v", final, want)
-	}
-
-	bad := []PlanDoc{
-		{Schema: "nope", Jobs: 0, Nodes: 0, Assignment: []int{}},
-		{Schema: PlanSchema, Jobs: 2, Nodes: 1, Assignment: []int{0, 0}},
-		{Schema: PlanSchema, Jobs: 1, Nodes: 1, Assignment: []int{5}},
-		{Schema: PlanSchema, Jobs: 1, Nodes: 2, Assignment: []int{0},
-			Moves: []PlanMove{{Job: 0, From: 0, To: 0}}},
-		{Schema: PlanSchema, Jobs: -1, Nodes: 0, Assignment: nil},
-	}
-	for i := range bad {
-		if err := bad[i].Validate(); err == nil {
-			t.Fatalf("bad doc %d validated", i)
-		}
-	}
-}

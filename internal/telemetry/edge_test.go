@@ -1,67 +1,6 @@
 package telemetry
 
-import (
-	"math"
-	"testing"
-)
-
-// TestP2NearestRankBeforeBootstrap pins the documented fallback: with
-// fewer than five observations Value() is the nearest-rank quantile of
-// exactly what has been seen.
-func TestP2NearestRankBeforeBootstrap(t *testing.T) {
-	est := NewP2(0.5)
-	for _, x := range []float64{40, 10, 30, 20} {
-		est.Observe(x)
-	}
-	if v := est.Value(); v != 30 {
-		t.Errorf("median of {10,20,30,40} before bootstrap = %v, want nearest-rank 30", v)
-	}
-	tail := NewP2(0.95)
-	for _, x := range []float64{4, 2, 3, 1} {
-		tail.Observe(x)
-	}
-	if v := tail.Value(); v != 4 {
-		t.Errorf("p95 of {1,2,3,4} before bootstrap = %v, want nearest-rank 4", v)
-	}
-}
-
-// TestP2AllDuplicates feeds a constant stream: every marker height and
-// position collapses, which is exactly where the parabolic update's
-// divided differences can blow up. The estimate must stay the constant.
-func TestP2AllDuplicates(t *testing.T) {
-	est := NewP2(0.95)
-	for i := 0; i < 1000; i++ {
-		est.Observe(7.5)
-	}
-	if v := est.Value(); v != 7.5 {
-		t.Errorf("p95 of a constant stream = %v, want 7.5", v)
-	}
-	// A few outliers after the degenerate phase must not produce NaN/Inf.
-	est.Observe(8)
-	est.Observe(7)
-	for i := 0; i < 100; i++ {
-		est.Observe(7.5)
-	}
-	if v := est.Value(); math.IsNaN(v) || math.IsInf(v, 0) ||
-		v < 7 || v > 8 {
-		t.Errorf("post-degenerate estimate %v outside [7, 8]", v)
-	}
-}
-
-// TestP2DuplicateBootstrap starts with five identical samples — the
-// bootstrap sort leaves all markers equal from the very first step.
-func TestP2DuplicateBootstrap(t *testing.T) {
-	est := NewP2(0.9)
-	for i := 0; i < 5; i++ {
-		est.Observe(2)
-	}
-	for i := 0; i < 50; i++ {
-		est.Observe(2 + float64(i%3))
-	}
-	if v := est.Value(); math.IsNaN(v) || math.IsInf(v, 0) || v < 2 || v > 4 {
-		t.Errorf("estimate %v escaped the observed range [2, 4]", v)
-	}
-}
+import "testing"
 
 // TestWindowWrapAround pushes several full eviction cycles through a
 // small window and checks quantiles, mean and extrema see only the

@@ -3,74 +3,8 @@ package telemetry
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
-
-func TestP2AgainstExactQuantiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, p := range []float64{0.5, 0.9, 0.95, 0.99} {
-		est := NewP2(p)
-		var all []float64
-		const n = 50000
-		for i := 0; i < n; i++ {
-			// Lognormal-ish latency stream.
-			v := math.Exp(rng.NormFloat64() * 0.7)
-			est.Observe(v)
-			all = append(all, v)
-		}
-		sort.Float64s(all)
-		exact := all[int(p*float64(n))]
-		got := est.Value()
-		if rel := math.Abs(got-exact) / exact; rel > 0.05 {
-			t.Errorf("P2(%v) = %v vs exact %v (rel err %.3f)", p, got, exact, rel)
-		}
-		if est.Count() != n {
-			t.Errorf("Count = %d, want %d", est.Count(), n)
-		}
-	}
-}
-
-func TestP2SmallStreams(t *testing.T) {
-	est := NewP2(0.95)
-	if !math.IsNaN(est.Value()) {
-		t.Error("empty estimator should report NaN")
-	}
-	est.Observe(3)
-	if est.Value() != 3 {
-		t.Errorf("single-sample value = %v, want 3", est.Value())
-	}
-	est.Observe(1)
-	est.Observe(2)
-	v := est.Value()
-	if v < 1 || v > 3 {
-		t.Errorf("three-sample value %v outside data range", v)
-	}
-}
-
-func TestP2PanicsOnBadQuantile(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewP2(%v) did not panic", p)
-				}
-			}()
-			NewP2(p)
-		}()
-	}
-}
-
-func TestP2MonotoneUnderSortedInput(t *testing.T) {
-	est := NewP2(0.5)
-	for i := 1; i <= 1001; i++ {
-		est.Observe(float64(i))
-	}
-	got := est.Value()
-	if math.Abs(got-501) > 10 {
-		t.Errorf("median of 1..1001 estimated %v, want ≈501", got)
-	}
-}
 
 func TestWindowQuantileAndEviction(t *testing.T) {
 	w := NewWindow(5)
@@ -126,27 +60,6 @@ func TestWindowInterpolatedQuantile(t *testing.T) {
 	}
 	if got := w.Quantile(0.5); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("interpolated median = %v, want 2.5", got)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if !math.IsNaN(e.Value()) {
-		t.Error("unobserved EWMA should be NaN")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Errorf("first value = %v, want 10", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Errorf("after 20: %v, want 15", e.Value())
-	}
-	bad := EWMA{Alpha: 7}
-	bad.Observe(1)
-	bad.Observe(2)
-	if v := bad.Value(); v <= 1 || v >= 2 {
-		t.Errorf("invalid alpha fallback produced %v", v)
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package telemetry provides the measurement substrate the paper assumes
+// datacenters already deploy (§V-A): sliding measurement windows with
+// exact quantiles for tail latencies, and a recorder that accumulates
+// offline training samples for the performance/power models.
 package telemetry
 
 import (
@@ -161,35 +165,4 @@ func (w *Window) Reset() {
 	w.sorted = w.sorted[:0]
 	w.sortedOK = true
 	w.exotic = 0
-}
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	// Alpha is the smoothing factor in (0, 1]; higher reacts faster.
-	Alpha float64
-
-	value float64
-	init  bool
-}
-
-// Observe folds one observation into the average.
-func (e *EWMA) Observe(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.3
-	}
-	e.value = a*x + (1-a)*e.value
-}
-
-// Value returns the current average (NaN before any observation).
-func (e *EWMA) Value() float64 {
-	if !e.init {
-		return math.NaN()
-	}
-	return e.value
 }

@@ -113,17 +113,3 @@ func (s Stair) BreakSteps(durationS int) []int {
 	}
 	return breaks
 }
-
-// Clamped wraps a trace so its output always lies in [0, 1].
-func Clamped(tr Trace) Trace {
-	return func(t float64) float64 {
-		v := tr(t)
-		if v < 0 {
-			return 0
-		}
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
-}

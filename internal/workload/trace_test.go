@@ -86,13 +86,6 @@ func TestSteps(t *testing.T) {
 	}
 }
 
-func TestClamped(t *testing.T) {
-	tr := Clamped(func(t float64) float64 { return t })
-	if tr(-3) != 0 || tr(0.5) != 0.5 || tr(7) != 1 {
-		t.Error("Clamped does not clamp to [0,1]")
-	}
-}
-
 func TestStairMatchesStepsAndDeclaresBreaks(t *testing.T) {
 	s := Stair{Levels: []float64{0.2, 0.5, 0.3}, StepDurS: 10}
 	tr := s.Trace()
