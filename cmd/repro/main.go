@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -24,20 +25,30 @@ import (
 	"sturgeon/internal/trace"
 )
 
-func main() {
+func main() { cmdutil.Main(run) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (all, fig2, fig3, fig6, fig7, fig9, fig10, fig11, table1, overhead, ablations, multi, energy, rapl, coord, placement, fleet10k)")
-		quick    = flag.Bool("quick", false, "shrink sweeps and run lengths for a fast smoke run")
-		samples  = flag.Int("samples", 0, "profiling sweep size (0 = default)")
-		duration = flag.Int("duration", 0, "evaluation run length in seconds (0 = default 800)")
-		heracles = flag.Bool("heracles", false, "include the Heracles-style baseline in fig9/fig10")
-		outDir   = flag.String("out", "", "directory for CSV/TSV output (optional)")
-		events   = flag.String("events", "", "write the decision-event journal (sturgeon/events/v1 JSON) to PATH")
-		traceOut = flag.String("trace", "", "write the causal decision trace (sturgeon/trace/v1 JSON) to PATH")
-		timeline = flag.String("timeline", "", "write the fleet time series (sturgeon/timeline/v1 JSON) to PATH")
+		exp      = fs.String("exp", "all", "experiment to run (all, fig2, fig3, fig6, fig7, fig9, fig10, fig11, table1, overhead, ablations, multi, energy, rapl, coord, placement, fleet10k)")
+		quick    = fs.Bool("quick", false, "shrink sweeps and run lengths for a fast smoke run")
+		samples  = fs.Int("samples", 0, "profiling sweep size (0 = default)")
+		duration = fs.Int("duration", 0, "evaluation run length in seconds (0 = default 800)")
+		heracles = fs.Bool("heracles", false, "include the Heracles-style baseline in fig9/fig10")
+		outDir   = fs.String("out", "", "directory for CSV/TSV output (optional)")
+		events   = fs.String("events", "", "write the decision-event journal (sturgeon/events/v1 JSON) to PATH")
+		traceOut = fs.String("trace", "", "write the causal decision trace (sturgeon/trace/v1 JSON) to PATH")
+		timeline = fs.String("timeline", "", "write the fleet time series (sturgeon/timeline/v1 JSON) to PATH")
 	)
-	common := cmdutil.Register(42)
-	common.Parse()
+	common := cmdutil.Register(fs, 42)
+	v, err := common.Parse(fs, args)
+	if err != nil {
+		return err
+	}
+	if v != "" {
+		fmt.Fprintln(stdout, v)
+		return nil
+	}
 
 	var sink *obs.Sink
 	if *events != "" || *traceOut != "" || *timeline != "" {
@@ -50,47 +61,47 @@ func main() {
 		Obs: sink,
 	})
 
-	emit := func(name string, tbl *trace.Table) {
-		if common.JSON {
-			if err := tbl.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Println(tbl)
+	// writeFile creates name under -out and fills it with write.
+	writeFile := func(name string, write func(io.Writer) error) error {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
 		}
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f, err := os.Create(filepath.Join(*outDir, name+".csv"))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := tbl.WriteCSV(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
+		f, err := os.Create(filepath.Join(*outDir, name))
+		if err != nil {
+			return err
+		}
+		if err := write(f); err != nil {
 			f.Close()
+			return fmt.Errorf("writing %s: %w", f.Name(), err)
+		}
+		return f.Close()
+	}
+	// The first output failure sticks: the experiments after it are
+	// skipped and it is returned at the end.
+	var failed error
+	emit := func(name string, tbl *trace.Table) {
+		if failed != nil {
+			return
+		}
+		if common.JSON {
+			failed = tbl.WriteJSON(stdout)
+		} else {
+			fmt.Fprintln(stdout, tbl)
+		}
+		if failed == nil && *outDir != "" {
+			failed = writeFile(name+".csv", tbl.WriteCSV)
 		}
 	}
 	emitSeries := func(name string, ss *trace.SeriesSet) {
-		if *outDir == "" {
-			return
+		if failed == nil && *outDir != "" {
+			failed = writeFile(name+".tsv", ss.WriteTSV)
 		}
-		f, err := os.Create(filepath.Join(*outDir, name+".tsv"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := ss.WriteTSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		f.Close()
 	}
 
 	want := func(names ...string) bool {
+		if failed != nil {
+			return false
+		}
 		if *exp == "all" {
 			return true
 		}
@@ -103,7 +114,7 @@ func main() {
 	}
 
 	if want("table1") && !common.JSON {
-		fmt.Println(experiments.Table1())
+		fmt.Fprintln(stdout, experiments.Table1())
 	}
 	if want("fig2") {
 		_, tbl := experiments.Fig2PowerOverload(env)
@@ -132,11 +143,11 @@ func main() {
 	if want("fig11") {
 		res := experiments.Fig11Trace(env)
 		if !common.JSON {
-			fmt.Println(res.Summary)
+			fmt.Fprintln(stdout, res.Summary)
 			spark := func(ss *trace.SeriesSet) {
-				fmt.Println(ss.Title)
+				fmt.Fprintln(stdout, ss.Title)
 				for _, s := range ss.Series {
-					fmt.Printf("  %-14s %s\n", s.Name, s.Spark(72))
+					fmt.Fprintf(stdout, "  %-14s %s\n", s.Name, s.Spark(72))
 				}
 			}
 			spark(res.Sturgeon)
@@ -145,7 +156,7 @@ func main() {
 		emitSeries("fig11_sturgeon", res.Sturgeon)
 		emitSeries("fig11_parties", res.Parties)
 		if *outDir == "" && !common.JSON {
-			fmt.Println("(use -out DIR to write the Fig. 11 time series as TSV)")
+			fmt.Fprintln(stdout, "(use -out DIR to write the Fig. 11 time series as TSV)")
 		}
 	}
 	if want("overhead") {
@@ -179,22 +190,23 @@ func main() {
 		_, tbl := experiments.Fleet10kScale(env)
 		emit("extension_fleet10k", tbl)
 	}
+	if failed != nil {
+		return failed
+	}
 	if *events != "" {
 		if err := jsonio.WriteFile(*events, sink.Journal.Doc()); err != nil {
-			fmt.Fprintln(os.Stderr, "repro: writing events:", err)
-			os.Exit(1)
+			return fmt.Errorf("writing events: %w", err)
 		}
 	}
 	if *traceOut != "" {
 		if err := jsonio.WriteFile(*traceOut, sink.Trace.Doc()); err != nil {
-			fmt.Fprintln(os.Stderr, "repro: writing trace:", err)
-			os.Exit(1)
+			return fmt.Errorf("writing trace: %w", err)
 		}
 	}
 	if *timeline != "" {
 		if err := jsonio.WriteFile(*timeline, sink.Timeline.Doc()); err != nil {
-			fmt.Fprintln(os.Stderr, "repro: writing timeline:", err)
-			os.Exit(1)
+			return fmt.Errorf("writing timeline: %w", err)
 		}
 	}
+	return nil
 }

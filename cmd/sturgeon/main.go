@@ -14,8 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"sturgeon/internal/cmdutil"
 	"sturgeon/internal/control"
 	"sturgeon/internal/core"
 	"sturgeon/internal/experiments"
@@ -25,46 +27,47 @@ import (
 	"sturgeon/internal/workload"
 )
 
-func main() {
+func main() { cmdutil.Main(run) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sturgeon", flag.ContinueOnError)
 	var (
-		lsName   = flag.String("ls", "memcached", "latency-sensitive service (memcached, xapian, img-dnn)")
-		beName   = flag.String("be", "rt", "best-effort application (bs, fa, fe, rt, sp, fd)")
-		ctrlName = flag.String("controller", "sturgeon", "controller (sturgeon, sturgeon-nob, parties, heracles)")
-		traceKnd = flag.String("trace", "triangle", "load trace (triangle, ramp, diurnal, constant)")
-		load     = flag.Float64("load", 0.4, "load fraction for -trace constant")
-		duration = flag.Int("duration", 400, "run length in seconds")
-		seed     = flag.Int64("seed", 1, "random seed")
-		samples  = flag.Int("samples", 1200, "profiling sweep size for the predictor")
-		verbose  = flag.Bool("v", false, "print every interval (default: every 10th)")
-		traceCSV = flag.String("trace-csv", "", "replay a load trace from a CSV file (seconds,fraction)")
-		modelDir = flag.String("models", "", "load a saved predictor from this directory instead of training")
-		saveDir  = flag.String("save-models", "", "save the trained predictor to this directory")
+		lsName   = fs.String("ls", "memcached", "latency-sensitive service (memcached, xapian, img-dnn)")
+		beName   = fs.String("be", "rt", "best-effort application (bs, fa, fe, rt, sp, fd)")
+		ctrlName = fs.String("controller", "sturgeon", "controller (sturgeon, sturgeon-nob, parties, heracles)")
+		traceKnd = fs.String("trace", "triangle", "load trace (triangle, ramp, diurnal, constant)")
+		load     = fs.Float64("load", 0.4, "load fraction for -trace constant")
+		duration = fs.Int("duration", 400, "run length in seconds")
+		seed     = fs.Int64("seed", 1, "random seed")
+		samples  = fs.Int("samples", 1200, "profiling sweep size for the predictor")
+		verbose  = fs.Bool("v", false, "print every interval (default: every 10th)")
+		traceCSV = fs.String("trace-csv", "", "replay a load trace from a CSV file (seconds,fraction)")
+		modelDir = fs.String("models", "", "load a saved predictor from this directory instead of training")
+		saveDir  = fs.String("save-models", "", "save the trained predictor to this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	ls, ok := workload.ByName(*lsName)
 	if !ok || ls.Class != workload.LS {
-		fmt.Fprintf(os.Stderr, "unknown LS service %q\n", *lsName)
-		os.Exit(2)
+		return fmt.Errorf("unknown LS service %q", *lsName)
 	}
 	be, ok := workload.ByName(*beName)
 	if !ok || be.Class != workload.BE {
-		fmt.Fprintf(os.Stderr, "unknown BE application %q\n", *beName)
-		os.Exit(2)
+		return fmt.Errorf("unknown BE application %q", *beName)
 	}
 
 	var tr workload.Trace
 	if *traceCSV != "" {
 		f, err := os.Open(*traceCSV)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		tr, err = workload.ReplayCSV(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		*traceKnd = "csv-replay"
 	}
@@ -80,8 +83,7 @@ func main() {
 	case "csv-replay":
 		// already built above
 	default:
-		fmt.Fprintf(os.Stderr, "unknown trace %q\n", *traceKnd)
-		os.Exit(2)
+		return fmt.Errorf("unknown trace %q", *traceKnd)
 	}
 
 	env := experiments.NewEnv(experiments.Config{Seed: *seed, Samples: *samples, DurationS: *duration})
@@ -90,45 +92,43 @@ func main() {
 	if *modelDir != "" && (*ctrlName == "sturgeon" || *ctrlName == "sturgeon-nob") {
 		pred, err := models.LoadPredictor(*modelDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("loaded predictor for %s+%s from %s\n", pred.LS.Name, pred.BE.Name, *modelDir)
+		fmt.Fprintf(stdout, "loaded predictor for %s+%s from %s\n", pred.LS.Name, pred.BE.Name, *modelDir)
 		ctrl = core.New(env.Spec, pred, budget,
 			core.Options{DisableBalancer: *ctrlName == "sturgeon-nob"})
 	} else {
-		fmt.Printf("training predictor for %s+%s (%d samples per app)...\n", ls.Name, be.Name, *samples)
+		fmt.Fprintf(stdout, "training predictor for %s+%s (%d samples per app)...\n", ls.Name, be.Name, *samples)
 		ctrl = env.NewController(*ctrlName, ls, be)
 		if *saveDir != "" {
 			if err := env.Predictor(ls, be).Save(*saveDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Printf("saved predictor to %s\n", *saveDir)
+			fmt.Fprintf(stdout, "saved predictor to %s\n", *saveDir)
 		}
 	}
 	node := sim.NewNode(ls, be, *seed)
 	if err := node.Apply(hw.SoloLS(env.Spec)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("node: %d cores, %.1f–%.1f GHz, %d LLC ways | budget %.1f W | QoS target %.0f ms at p95\n",
+	fmt.Fprintf(stdout, "node: %d cores, %.1f–%.1f GHz, %d LLC ways | budget %.1f W | QoS target %.0f ms at p95\n",
 		env.Spec.Cores, float64(env.Spec.FreqMin), float64(env.Spec.FreqMax), env.Spec.LLCWays,
 		float64(budget), ls.QoSTargetS*1e3)
 
 	r := sim.Runner{Node: node, Ctrl: ctrl, Budget: budget, Trace: tr, DurationS: *duration}
 	res := r.Run()
 
-	fmt.Printf("%6s  %7s  %8s  %7s  %7s  %-32s\n", "t", "qps", "p95_ms", "power_w", "be_ups", "config")
+	fmt.Fprintf(stdout, "%6s  %7s  %8s  %7s  %7s  %-32s\n", "t", "qps", "p95_ms", "power_w", "be_ups", "config")
 	for i, st := range res.Intervals {
 		if !*verbose && i%10 != 0 {
 			continue
 		}
-		fmt.Printf("%6.0f  %7.0f  %8.2f  %7.1f  %7.0f  %-32s\n",
+		fmt.Fprintf(stdout, "%6.0f  %7.0f  %8.2f  %7.1f  %7.0f  %-32s\n",
 			st.Time, st.QPS, st.P95*1e3, float64(st.Power), st.BEThroughputUPS, st.Config)
 	}
 
-	fmt.Printf("\ncontroller=%s  qos_rate=%.4f  norm_be_thpt=%.4f  overload_frac=%.4f  breaker_trips=%d\n",
+	fmt.Fprintf(stdout, "\ncontroller=%s  qos_rate=%.4f  norm_be_thpt=%.4f  overload_frac=%.4f  breaker_trips=%d\n",
 		res.Controller, res.QoSRate, res.NormBEThroughput, res.OverloadFrac, res.BreakerTrips)
+	return nil
 }

@@ -100,8 +100,12 @@ func main() {
 	timelinePath := flag.String("timeline", "",
 		"write the fleet timeline (sturgeon/timeline/v1 JSON) to PATH at shutdown")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
-	common := cmdutil.Register(42)
-	common.Parse()
+	common := cmdutil.Register(flag.CommandLine, 42)
+	// flag.CommandLine exits on a bad flag itself, so Parse cannot fail.
+	if v, _ := common.Parse(flag.CommandLine, os.Args[1:]); v != "" {
+		fmt.Println(v)
+		os.Exit(0)
+	}
 
 	snk := obs.New(cfg.journalCap)
 

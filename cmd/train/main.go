@@ -13,21 +13,27 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"sturgeon/internal/cmdutil"
 	"sturgeon/internal/experiments"
 	"sturgeon/internal/models"
 	"sturgeon/internal/trace"
 	"sturgeon/internal/workload"
 )
 
-func main() {
+func main() { cmdutil.Main(run) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	var (
-		app     = flag.String("app", "", "single application to profile (default: all)")
-		samples = flag.Int("samples", 1500, "sweep size")
-		seed    = flag.Int64("seed", 42, "random seed")
+		app     = fs.String("app", "", "single application to profile (default: all)")
+		samples = fs.Int("samples", 1500, "sweep size")
+		seed    = fs.Int64("seed", 42, "random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	env := experiments.NewEnv(experiments.Config{Seed: *seed, Samples: *samples})
 
@@ -35,8 +41,7 @@ func main() {
 	if *app != "" {
 		p, ok := workload.ByName(*app)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown application %q\n", *app)
-			os.Exit(2)
+			return fmt.Errorf("unknown application %q", *app)
 		}
 		apps = []workload.Profile{p}
 	}
@@ -45,30 +50,41 @@ func main() {
 		if p.Class == workload.LS {
 			d := env.LSData(p)
 			clf, err := models.CompareClassification(d.Perf, *seed)
-			must(err)
+			if err != nil {
+				return err
+			}
 			lat, err := models.CompareRegression(d.Latency, *seed)
-			must(err)
+			if err != nil {
+				return err
+			}
 			pow, err := models.CompareRegression(d.Power, *seed)
-			must(err)
+			if err != nil {
+				return err
+			}
 			tbl := trace.NewTable(fmt.Sprintf("%s (LS) — %d samples", p.Name, d.Perf.Len()),
 				"model", "DT", "KNN", "SV", "MLP", "LR", "deploy")
 			addScores(tbl, "feasibility (accuracy)", clf)
 			addScores(tbl, "latency log10 (R²)", lat)
 			addScores(tbl, "power (R²)", pow)
-			fmt.Println(tbl)
+			fmt.Fprintln(stdout, tbl)
 		} else {
 			d := env.BEData(p)
 			thpt, err := models.CompareRegression(d.Thpt, *seed)
-			must(err)
+			if err != nil {
+				return err
+			}
 			pow, err := models.CompareRegression(d.Power, *seed)
-			must(err)
+			if err != nil {
+				return err
+			}
 			tbl := trace.NewTable(fmt.Sprintf("%s (BE) — %d samples", p.Name, d.Thpt.Len()),
 				"model", "DT", "KNN", "SV", "MLP", "LR", "deploy")
 			addScores(tbl, "throughput (R²)", thpt)
 			addScores(tbl, "power (R²)", pow)
-			fmt.Println(tbl)
+			fmt.Fprintln(stdout, tbl)
 		}
 	}
+	return nil
 }
 
 func addScores(tbl *trace.Table, name string, scores []models.Score) {
@@ -78,11 +94,4 @@ func addScores(tbl *trace.Table, name string, scores []models.Score) {
 	}
 	cells = append(cells, string(models.Best(scores).Technique))
 	tbl.Addf(cells...)
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -13,9 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 
 	"sturgeon/internal/cluster"
+	"sturgeon/internal/cmdutil"
 	"sturgeon/internal/control"
 	"sturgeon/internal/core"
 	"sturgeon/internal/faults"
@@ -25,17 +26,22 @@ import (
 	"sturgeon/internal/workload"
 )
 
-func main() {
-	nodes := flag.Int("nodes", 6, "fleet size")
-	seed := flag.Int64("seed", 42, "cluster seed (fault plans derive from it)")
-	dur := flag.Int("dur", 600, "run length in seconds")
-	spec := flag.String("faults", "default", `fault spec ("default", "" for none, or key=value list)`)
-	static := flag.Bool("static", false, "skip model training and run static controllers")
-	flag.Parse()
+func main() { cmdutil.Main(run) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	nodes := fs.Int("nodes", 6, "fleet size")
+	seed := fs.Int64("seed", 42, "cluster seed (fault plans derive from it)")
+	dur := fs.Int("dur", 600, "run length in seconds")
+	spec := fs.String("faults", "default", `fault spec ("default", "" for none, or key=value list)`)
+	static := fs.Bool("static", false, "skip model training and run static controllers")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	fspec, err := faults.ParseSpec(*spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	ls, be := workload.Memcached(), workload.Raytrace()
@@ -46,12 +52,12 @@ func main() {
 		return control.Static{Cfg: hw.SoloLS(hw.DefaultSpec())}
 	}
 	if !*static {
-		fmt.Println("training the shared predictor...")
+		fmt.Fprintln(stdout, "training the shared predictor...")
 		pred, err := models.Train(ls, be, models.TrainOptions{
 			Collect: models.CollectOptions{Samples: 900, Seed: 17},
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		mkCtrl = func(int) control.Controller {
 			// Guard hardens the controller against exactly the dirt the
@@ -63,20 +69,21 @@ func main() {
 
 	fleet, err := cluster.New(*nodes, ls, be, budget, &cluster.LeastLoaded{}, *seed, mkCtrl)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fleet.InjectFaults(fspec, *dur)
 
 	res := fleet.Run(workload.Diurnal(0.2, 0.8, float64(*dur)), *dur)
 
-	fmt.Printf("\n== chaos fleet: %d nodes, seed %d, %d s ==\n", *nodes, *seed, *dur)
-	fmt.Printf("qos_rate      %.4f\n", res.QoSRate)
-	fmt.Printf("be_units/s    %.0f\n", res.MeanBEThroughputUPS)
-	fmt.Printf("fleet_power   %.1f W (%.2f kJ, %.1f units/kJ)\n",
+	fmt.Fprintf(stdout, "\n== chaos fleet: %d nodes, seed %d, %d s ==\n", *nodes, *seed, *dur)
+	fmt.Fprintf(stdout, "qos_rate      %.4f\n", res.QoSRate)
+	fmt.Fprintf(stdout, "be_units/s    %.0f\n", res.MeanBEThroughputUPS)
+	fmt.Fprintf(stdout, "fleet_power   %.1f W (%.2f kJ, %.1f units/kJ)\n",
 		res.MeanPowerW, res.EnergyKJ, res.WorkPerKJ)
-	fmt.Printf("lost_queries  %.0f (dispatched to crashed nodes before eviction)\n", res.LostQueries)
-	fmt.Printf("health        %d evictions, %d readmissions, %d unhealthy node·intervals\n",
+	fmt.Fprintf(stdout, "lost_queries  %.0f (dispatched to crashed nodes before eviction)\n", res.LostQueries)
+	fmt.Fprintf(stdout, "health        %d evictions, %d readmissions, %d unhealthy node·intervals\n",
 		res.Health.Evictions, res.Health.Readmissions, res.Health.UnhealthyNodeIntervals)
-	fmt.Printf("faults        %s\n", res.Faults)
-	fmt.Println("\nRe-running with the same -seed and -faults reproduces this output exactly.")
+	fmt.Fprintf(stdout, "faults        %s\n", res.Faults)
+	fmt.Fprintln(stdout, "\nRe-running with the same -seed and -faults reproduces this output exactly.")
+	return nil
 }

@@ -63,7 +63,7 @@ func main() {
 
 	fmt.Println("profiling and training...")
 	pred, err := models.Train(inference, compactor, models.TrainOptions{
-		Collect: models.CollectOptions{Samples: 1000, Seed: 31},
+		Collect: models.CollectOptions{Samples: 150, Seed: 31},
 		// Let validation pick each model's technique for the new
 		// workloads instead of assuming the paper's winners.
 		AutoSelect: true,
@@ -78,13 +78,13 @@ func main() {
 	}
 	runner := sim.Runner{
 		Node: node, Ctrl: ctrl, Budget: budget,
-		Trace:     workload.Steps([]float64{0.2, 0.5, 0.8, 0.35}, 40),
-		DurationS: 160,
+		Trace:     workload.Steps([]float64{0.2, 0.5, 0.8, 0.35}, 15),
+		DurationS: 60,
 	}
 	res := runner.Run()
 
 	for i, st := range res.Intervals {
-		if i%8 != 0 {
+		if i%10 != 0 {
 			continue
 		}
 		fmt.Printf("t=%3.0fs qps=%5.0f p95=%5.2fms power=%5.1fW compactor=%5.0f units/s %v\n",

@@ -29,7 +29,7 @@ func main() {
 
 	fmt.Println("training predictor...")
 	pred, err := models.Train(ls, be, models.TrainOptions{
-		Collect: models.CollectOptions{Samples: 1000, Seed: 21},
+		Collect: models.CollectOptions{Samples: 300, Seed: 21},
 	})
 	if err != nil {
 		log.Fatal(err)

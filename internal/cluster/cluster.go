@@ -3,8 +3,7 @@
 // Sturgeon-managed nodes. The paper's evaluation is single-node; this
 // package provides the surrounding fleet so the node runtime can be
 // studied at datacenter scale — per-node Sturgeon instances, a query
-// dispatcher with pluggable policies, a best-effort job queue placed onto
-// whatever capacity the nodes free up, and fleet-level utilization and
+// dispatcher with pluggable policies, and fleet-level utilization and
 // energy accounting.
 package cluster
 

@@ -1,12 +1,15 @@
 // Package cmdutil is the flag surface the sturgeon binaries share:
 // every command (cmd/repro, cmd/sturgeond) takes -seed,
 // -json and -version with one spelling and one meaning, registered
-// through here instead of hand-rolled per binary.
+// through here instead of hand-rolled per binary. Main is the one way a
+// binary's main calls its testable run function.
 package cmdutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,22 +30,36 @@ type Common struct {
 	showVersion bool
 }
 
-// Register installs the shared flags on the default flag set. Binaries
-// register their own flags around it, then call Parse.
-func Register(defaultSeed int64) *Common {
+// Register installs the shared flags on fs. Binaries register their own
+// flags around it, then call Parse.
+func Register(fs *flag.FlagSet, defaultSeed int64) *Common {
 	c := &Common{}
-	flag.Int64Var(&c.Seed, "seed", defaultSeed, "deterministic base seed")
-	flag.BoolVar(&c.JSON, "json", false, "emit machine-readable JSON instead of text output")
-	flag.BoolVar(&c.showVersion, "version", false, "print version and exit")
+	fs.Int64Var(&c.Seed, "seed", defaultSeed, "deterministic base seed")
+	fs.BoolVar(&c.JSON, "json", false, "emit machine-readable JSON instead of text output")
+	fs.BoolVar(&c.showVersion, "version", false, "print version and exit")
 	return c
 }
 
-// Parse parses the command line and handles -version (print and exit 0).
-func (c *Common) Parse() {
-	flag.Parse()
-	if c.showVersion {
-		fmt.Printf("%s %s %s %s/%s\n", filepath.Base(os.Args[0]), version,
-			runtime.Version(), runtime.GOOS, runtime.GOARCH)
-		os.Exit(0)
+// Parse parses args into fs. When -version was given it returns the
+// version line, which the binary prints before exiting 0 without doing
+// anything else; otherwise it returns "".
+func (c *Common) Parse(fs *flag.FlagSet, args []string) (string, error) {
+	if err := fs.Parse(args); err != nil {
+		return "", err
+	}
+	if !c.showVersion {
+		return "", nil
+	}
+	return fmt.Sprintf("%s %s %s %s/%s", filepath.Base(fs.Name()), version,
+		runtime.Version(), runtime.GOOS, runtime.GOARCH), nil
+}
+
+// Main runs a command's run function on the process arguments and
+// standard output, and exits 1 after printing the error if it fails.
+// -h is not a failure: the flag set has already printed the usage.
+func Main(run func(args []string, stdout io.Writer) error) {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", filepath.Base(os.Args[0]), err)
+		os.Exit(1)
 	}
 }

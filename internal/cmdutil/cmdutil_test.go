@@ -2,54 +2,60 @@ package cmdutil
 
 import (
 	"flag"
-	"os"
+	"strings"
 	"testing"
 )
 
-// withFreshFlags swaps in an empty default flag set and scripted args,
-// restoring both afterwards — Register installs onto flag.CommandLine.
-func withFreshFlags(t *testing.T, args []string, fn func()) {
+// parse registers the shared flags on a fresh flag set and parses args.
+func parse(t *testing.T, args ...string) (*Common, string) {
 	t.Helper()
-	oldFS, oldArgs := flag.CommandLine, os.Args
-	defer func() { flag.CommandLine, os.Args = oldFS, oldArgs }()
-	flag.CommandLine = flag.NewFlagSet(args[0], flag.ContinueOnError)
-	os.Args = args
-	fn()
+	fs := flag.NewFlagSet("bin", flag.ContinueOnError)
+	c := Register(fs, 42)
+	v, err := c.Parse(fs, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, v
 }
 
 func TestCommonFlagDefaults(t *testing.T) {
-	withFreshFlags(t, []string{"bin"}, func() {
-		c := Register(42)
-		c.Parse()
-		if c.Seed != 42 {
-			t.Errorf("default seed %d, want 42", c.Seed)
-		}
-		if c.JSON {
-			t.Error("JSON defaulted on")
-		}
-	})
+	c, v := parse(t)
+	if c.Seed != 42 {
+		t.Errorf("default seed %d, want 42", c.Seed)
+	}
+	if c.JSON {
+		t.Error("JSON defaulted on")
+	}
+	if v != "" {
+		t.Errorf("version line %q without -version", v)
+	}
 }
 
 func TestCommonFlagParsing(t *testing.T) {
-	withFreshFlags(t, []string{"bin", "-seed", "7", "-json"}, func() {
-		c := Register(42)
-		c.Parse()
-		if c.Seed != 7 {
-			t.Errorf("seed %d, want 7", c.Seed)
-		}
-		if !c.JSON {
-			t.Error("-json not parsed")
-		}
-	})
+	c, _ := parse(t, "-seed", "7", "-json")
+	if c.Seed != 7 {
+		t.Errorf("seed %d, want 7", c.Seed)
+	}
+	if !c.JSON {
+		t.Error("-json not parsed")
+	}
 }
 
 func TestCommonComposesWithLocalFlags(t *testing.T) {
-	withFreshFlags(t, []string{"bin", "-extra", "x", "-seed", "9"}, func() {
-		extra := flag.String("extra", "", "binary-specific flag")
-		c := Register(1)
-		c.Parse()
-		if *extra != "x" || c.Seed != 9 {
-			t.Errorf("extra %q seed %d, want x and 9", *extra, c.Seed)
-		}
-	})
+	fs := flag.NewFlagSet("bin", flag.ContinueOnError)
+	extra := fs.String("extra", "", "binary-specific flag")
+	c := Register(fs, 1)
+	if _, err := c.Parse(fs, []string{"-extra", "x", "-seed", "9"}); err != nil {
+		t.Fatal(err)
+	}
+	if *extra != "x" || c.Seed != 9 {
+		t.Errorf("extra %q seed %d, want x and 9", *extra, c.Seed)
+	}
+}
+
+func TestCommonVersionIsReturned(t *testing.T) {
+	_, v := parse(t, "-version")
+	if !strings.HasPrefix(v, "bin dev go") {
+		t.Errorf("version line %q, want the binary name, version and Go release", v)
+	}
 }

@@ -40,11 +40,6 @@ import (
 type NetChaos struct {
 	Inner Transport
 	Plan  *faults.NetPlan
-	// NodeIndex maps a report's NodeID to the plan's node index; nil
-	// uses the fleet convention of a trailing decimal index ("node-003"
-	// → 3). Reports mapping outside [0, Plan.Nodes) pass through
-	// unharmed.
-	NodeIndex func(nodeID string) int
 
 	stats   NetStats
 	delayed []delayedReport
@@ -75,10 +70,11 @@ var ErrNetChaos = errors.New("coordinator: netchaos severed link")
 // Stats returns the tallies so far.
 func (n *NetChaos) Stats() NetStats { return n.stats }
 
-func (n *NetChaos) nodeIndex(nodeID string) int {
-	if n.NodeIndex != nil {
-		return n.NodeIndex(nodeID)
-	}
+// nodeIndex maps a report's NodeID to the plan's node index by the
+// fleet convention of a trailing decimal index ("node-003" → 3); -1 when
+// the ID carries none. Reports mapping outside [0, Plan.Nodes) pass
+// through unharmed.
+func nodeIndex(nodeID string) int {
 	if i := strings.LastIndexByte(nodeID, '-'); i >= 0 {
 		if v, err := strconv.Atoi(nodeID[i+1:]); err == nil {
 			return v
@@ -120,7 +116,7 @@ func (n *NetChaos) flush(ctx context.Context, epoch int) {
 
 // Report implements Transport.
 func (n *NetChaos) Report(ctx context.Context, r NodeReport) (Grant, error) {
-	node := n.nodeIndex(r.NodeID)
+	node := nodeIndex(r.NodeID)
 	n.flush(ctx, r.Epoch)
 	if node < 0 || node >= n.Plan.Nodes {
 		return n.Inner.Report(ctx, r)

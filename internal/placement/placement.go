@@ -32,7 +32,6 @@ import (
 
 	"sturgeon/internal/cache"
 	"sturgeon/internal/hw"
-	"sturgeon/internal/models"
 	"sturgeon/internal/power"
 	"sturgeon/internal/queueing"
 	"sturgeon/internal/workload"
@@ -40,9 +39,8 @@ import (
 
 // PairModel predicts the behaviour of one LS/BE pair. The method set is
 // exactly the prediction surface of *models.Predictor, so a trained
-// per-pair model satisfies it verbatim; Bundle adapts the split
-// LSModels/BEModels form and Physics provides a closed-form analytic
-// model that needs no training. Implementations must be comparable (the
+// per-pair model satisfies it verbatim, and Physics provides a
+// closed-form analytic model that needs no training. Implementations must be comparable (the
 // Scorer memoizes on the model identity) and safe for serial reuse.
 type PairModel interface {
 	// QoSOK reports whether the LS allocation meets the tail-latency
@@ -52,25 +50,6 @@ type PairModel interface {
 	Throughput(a hw.Alloc) float64
 	// PowerW predicts whole-node power for the configuration at load.
 	PowerW(cfg hw.Config, qps float64) power.Watts
-}
-
-// Bundle adapts the split per-application model form
-// (models.LSModels + models.BEModels) to the PairModel surface: node
-// power composes as the LS node baseline plus the BE increment.
-type Bundle struct {
-	LS *models.LSModels
-	BE *models.BEModels
-}
-
-// QoSOK implements PairModel.
-func (b Bundle) QoSOK(a hw.Alloc, qps float64) bool { return b.LS.QoSOK(a, qps) }
-
-// Throughput implements PairModel.
-func (b Bundle) Throughput(a hw.Alloc) float64 { return b.BE.Throughput(a) }
-
-// PowerW implements PairModel.
-func (b Bundle) PowerW(cfg hw.Config, qps float64) power.Watts {
-	return b.LS.NodePowerW(cfg.LS, qps) + b.BE.PowerIncW(cfg.BE)
 }
 
 // Physics is a deterministic analytic pair model built directly from

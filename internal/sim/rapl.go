@@ -13,9 +13,6 @@ import "sturgeon/internal/hw"
 type RAPLCap struct {
 	Spec  hw.Spec
 	Limit float64 // watts
-	// ReleaseHeadroomW is how far below the limit the draw must sit
-	// before a throttle step is released (default 3 W).
-	ReleaseHeadroomW float64
 
 	// throttle is the number of DVFS steps currently forced off every
 	// allocation.
@@ -40,12 +37,12 @@ func (r *RAPLCap) Apply(cfg hw.Config) hw.Config {
 	return cfg
 }
 
+// raplReleaseHeadroomW is how far below the limit the draw must sit
+// before a throttle step is released.
+const raplReleaseHeadroomW = 3
+
 // Observe feeds one interval's measured power and updates the throttle.
 func (r *RAPLCap) Observe(watts float64) {
-	headroom := r.ReleaseHeadroomW
-	if headroom <= 0 {
-		headroom = 3
-	}
 	switch {
 	case watts > r.Limit:
 		// Firmware reacts hard: enough steps to clear the excess at
@@ -55,7 +52,7 @@ func (r *RAPLCap) Observe(watts float64) {
 		if max := r.Spec.NumFreqLevels() - 1; r.throttle > max {
 			r.throttle = max
 		}
-	case watts < r.Limit-headroom && r.throttle > 0:
+	case watts < r.Limit-raplReleaseHeadroomW && r.throttle > 0:
 		r.throttle--
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,10 +127,10 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 // TestNoUnreferencedExports fails on an exported top-level func, type,
 // var or const that no non-test code of this module references, either
 // as pkg.Name (import alias resolved) or as a bare identifier in its own
-// package; the declaration itself does not count. Methods are
-// exempt, because whether one satisfies an interface cannot be decided
-// syntactically, and references from nested modules (the benchmark
-// driver) do not count.
+// package; the declaration itself, including the methods of a declared
+// type, does not count. Methods are exempt, because whether one
+// satisfies an interface cannot be decided syntactically, and references
+// from nested modules (the benchmark driver) do not count.
 func TestNoUnreferencedExports(t *testing.T) {
 	files := parseModule(t, parser.SkipObjectResolution)
 	pkgName := map[string]string{}
@@ -220,17 +221,17 @@ func TestNoUnreferencedExports(t *testing.T) {
 
 // eachDecl calls fn once per top-level declaration unit of d with the
 // names it declares and the nodes that may reference other identifiers.
-// A method declares no top-level name, so it contributes references
-// only; imports contribute nothing.
+// A method belongs to its receiver type's declaration: it is reported
+// under the receiver type's name, so the type's own methods never count
+// as references to it. Imports contribute nothing.
 func eachDecl(d ast.Decl, fn func(names []*ast.Ident, body []ast.Node)) {
 	switch d := d.(type) {
 	case *ast.FuncDecl:
-		var names []*ast.Ident
+		names := []*ast.Ident{d.Name}
 		body := []ast.Node{d.Type}
 		if d.Recv != nil {
+			names = []*ast.Ident{receiverType(d.Recv.List[0].Type)}
 			body = append(body, d.Recv)
-		} else {
-			names = []*ast.Ident{d.Name}
 		}
 		if d.Body != nil {
 			body = append(body, d.Body)
@@ -259,8 +260,32 @@ func eachDecl(d ast.Decl, fn func(names []*ast.Ident, body []ast.Node)) {
 	}
 }
 
+// receiverType returns the base type name of a method receiver
+// (T, *T, T[P] or *T[P]).
+func receiverType(x ast.Expr) *ast.Ident {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.ParenExpr:
+			x = e.X
+		default:
+			return e.(*ast.Ident)
+		}
+	}
+}
+
+// layoutRoots are the directories whose every subdirectory README.md's
+// layout block lists.
+var layoutRoots = map[string]bool{"internal": true, "cmd": true, "examples": true}
+
 // TestReadmeLayoutMatchesTree fails when README.md's layout block omits a
-// directory under internal/ or cmd/, or names one that does not exist.
+// directory under internal/, cmd/ or examples/, or names one that does
+// not exist.
 func TestReadmeLayoutMatchesTree(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
@@ -281,12 +306,12 @@ func TestReadmeLayoutMatchesTree(t *testing.T) {
 			continue
 		}
 		entry := strings.TrimSuffix(fields[0], "/")
-		if strings.HasPrefix(entry, "internal/") || strings.HasPrefix(entry, "cmd/") {
+		if root, _, ok := strings.Cut(entry, "/"); ok && layoutRoots[root] {
 			listed[entry] = true
 		}
 	}
 	onDisk := map[string]bool{}
-	for _, root := range []string{"internal", "cmd"} {
+	for root := range layoutRoots {
 		entries, err := os.ReadDir(root)
 		if err != nil {
 			t.Fatal(err)
@@ -305,6 +330,86 @@ func TestReadmeLayoutMatchesTree(t *testing.T) {
 	for _, dir := range sortedKeys(listed) {
 		if !onDisk[dir] {
 			t.Errorf("README.md layout lists %s, which does not exist", dir)
+		}
+	}
+}
+
+// maxExamples bounds examples/: an example earns its directory only by
+// showing what no command already does.
+const maxExamples = 3
+
+// mainPackages returns the directories under cmd/ and examples/ that
+// hold a main package, mapped to whether they also hold a test file.
+func mainPackages(t *testing.T) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	mains := map[string]bool{}
+	for _, root := range []string{"cmd", "examples"} {
+		dirs, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			if !d.IsDir() {
+				continue
+			}
+			dir := root + "/" + d.Name()
+			files, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			isMain, tested := false, false
+			for _, f := range files {
+				name := f.Name()
+				switch {
+				case strings.HasSuffix(name, "_test.go"):
+					tested = true
+				case strings.HasSuffix(name, ".go"):
+					af, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.PackageClauseOnly)
+					if err != nil {
+						t.Fatal(err)
+					}
+					isMain = isMain || af.Name.Name == "main"
+				}
+			}
+			if isMain {
+				mains[dir] = tested
+			}
+		}
+	}
+	return mains
+}
+
+// goRunPath matches the package path of a `go run ./PATH` command line.
+var goRunPath = regexp.MustCompile(`go run \./([\w./-]+)`)
+
+// TestEntryPointsRunUnderGoTest fails when a main package under cmd/ or
+// examples/ has no test file, so `go test ./...` would only compile it;
+// when examples/ outgrows maxExamples; and when a `go run ./PATH` in the
+// documentation names no main package of this module.
+func TestEntryPointsRunUnderGoTest(t *testing.T) {
+	mains := mainPackages(t)
+	examples := 0
+	for _, dir := range sortedKeys(mains) {
+		if !mains[dir] {
+			t.Errorf("%s: main package with no _test.go; give it a run function and a test that executes it", dir)
+		}
+		if strings.HasPrefix(dir, "examples/") {
+			examples++
+		}
+	}
+	if examples > maxExamples {
+		t.Errorf("examples/ holds %d programs, more than %d; fold the ones a command already covers into it", examples, maxExamples)
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range goRunPath.FindAllStringSubmatch(string(data), -1) {
+			if _, ok := mains[strings.TrimSuffix(m[1], "/")]; !ok {
+				t.Errorf("%s: %q names no main package under cmd/ or examples/", doc, m[0])
+			}
 		}
 	}
 }
