@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -21,16 +23,35 @@ import (
 	"sturgeon/internal/obs"
 )
 
-// buildSturgeond compiles the daemon binary into a test temp dir.
+var (
+	buildOnce sync.Once
+	binDir    string
+	buildErr  error
+)
+
+// TestMain removes the daemon binary the package's tests share.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	os.RemoveAll(binDir)
+	os.Exit(code)
+}
+
+// buildSturgeond compiles the daemon binary once per test binary and
+// returns its path.
 func buildSturgeond(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "sturgeond")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stdout, build.Stderr = os.Stderr, os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building sturgeond: %v", err)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "sturgeond-test"); buildErr != nil {
+			return
+		}
+		build := exec.Command("go", "build", "-o", binDir, ".")
+		build.Stdout, build.Stderr = os.Stderr, os.Stderr
+		buildErr = build.Run()
+	})
+	if buildErr != nil {
+		t.Fatalf("building sturgeond: %v", buildErr)
 	}
-	return bin
+	return filepath.Join(binDir, "sturgeond")
 }
 
 // promValue extracts the value of one un-labelled metric family from a
@@ -54,81 +75,28 @@ func promValue(t *testing.T, text, name string) float64 {
 // loopback port, and drives a 4-node fleet through the HTTP client: one
 // node pinned against its cap, one stranding watts, two in band. The
 // coordinator must move watts from the donor to the starved node within
-// a few epochs while conserving the 400 W budget — the CI convergence
-// gate for the service as actually shipped, flags and all.
+// a few epochs while conserving the 400 W budget — the convergence gate
+// for the service as actually shipped, flags and all — and its operator
+// surface (/healthz, /metrics, /v1/events) must agree with that run.
 func TestSturgeondIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the daemon binary")
 	}
-	bin := buildSturgeond(t)
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	daemon := exec.CommandContext(ctx, bin,
-		"-addr", "127.0.0.1:0",
-		"-budget", "400", "-nodes", "4",
-		"-min-cap", "60", "-max-cap", "140",
-		"-json")
-	stdout, err := daemon.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		t.Fatalf("starting sturgeond: %v", err)
-	}
+	daemon, addr, _ := startSturgeond(t, ctx)
 	defer func() {
 		_ = daemon.Process.Kill()
 		_ = daemon.Wait()
 	}()
+	base := "http://" + addr
 
-	// The -json banner names the bound address (we asked for port 0).
-	// Plain json.Decoder, not jsonio.Decode: the latter reads to EOF to
-	// reject trailing data, which blocks forever on a live pipe.
-	var b struct {
-		Addr    string  `json:"addr"`
-		BudgetW float64 `json:"budget_w"`
-	}
-	if err := json.NewDecoder(stdout).Decode(&b); err != nil {
-		t.Fatalf("reading startup banner: %v", err)
-	}
-	if b.BudgetW != 400 {
-		t.Fatalf("banner budget %.0f, want 400", b.BudgetW)
+	if body, _ := httpGetBody(t, base+"/healthz"); string(body) != "ok\n" {
+		t.Errorf("/healthz body %q, want \"ok\\n\"", body)
 	}
 
-	cl := coordinator.NewClient("http://"+b.Addr, 1)
-	cl.BackoffBase = 10 * time.Millisecond
-	cl.Retries = 5 // ride out the listener warming up
-
-	ids := []string{"n0", "n1", "n2", "n3"}
-	caps := map[string]float64{}
-	for epoch := 0; epoch <= 12; epoch++ {
-		for _, id := range ids {
-			slack, pw := 0.15, 90.0
-			if epoch > 0 {
-				switch id {
-				case "n0": // starved: pinned against its cap
-					slack, pw = 0.05, caps[id]-0.5
-				case "n1": // donor: saturated well below its cap
-					slack, pw = 0.6, 70
-				}
-			}
-			capW := 100.0
-			if epoch > 0 {
-				capW = caps[id]
-			}
-			g, err := cl.Report(ctx, coordinator.NodeReport{
-				Schema: coordinator.Schema, NodeID: id, Epoch: epoch,
-				Slack: slack, P95S: 0.004, PowerW: pw, CapW: capW,
-				BEThroughputUPS: 1000, Healthy: true,
-			})
-			if err != nil {
-				t.Fatalf("epoch %d node %s: %v", epoch, id, err)
-			}
-			caps[id] = g.CapW
-		}
-	}
-
+	const epochs = 12
+	caps := driveConvergence(t, ctx, addr, epochs)
 	if !(caps["n0"] > 100) {
 		t.Errorf("starved node never grew past the even split: %.1f W", caps["n0"])
 	}
@@ -136,7 +104,7 @@ func TestSturgeondIntegration(t *testing.T) {
 		t.Errorf("donor never shrank below the even split: %.1f W", caps["n1"])
 	}
 
-	st, err := cl.Status(ctx)
+	st, err := newClient(addr).Status(ctx)
 	if err != nil {
 		t.Fatalf("/fleet/status: %v", err)
 	}
@@ -150,23 +118,21 @@ func TestSturgeondIntegration(t *testing.T) {
 	if len(st.Nodes) != 4 {
 		t.Errorf("status lists %d nodes, want 4", len(st.Nodes))
 	}
+	if want := 4 * (epochs + 1); st.Stats.Reports != want {
+		t.Errorf("status counts %d reports, %d were submitted", st.Stats.Reports, want)
+	}
 
 	// The decision trail must agree with the run we just drove: the
 	// /metrics counters mirror the status stats, and the /v1/events
 	// journal carries the cap movements behind the convergence.
-	resp, err := http.Get("http://" + b.Addr + "/metrics")
-	if err != nil {
-		t.Fatalf("/metrics: %v", err)
-	}
-	scrape, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+	scrape, ct := httpGetBody(t, base+"/metrics")
+	if !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("/metrics content type %q", ct)
 	}
 	text := string(scrape)
+	if !strings.Contains(text, "\n# TYPE coordinator_pool_watts gauge\n") {
+		t.Error("/metrics lacks the coordinator_pool_watts gauge family")
+	}
 	if got := promValue(t, text, "coordinator_reports_total"); got != float64(st.Stats.Reports) {
 		t.Errorf("coordinator_reports_total %v, status says %d", got, st.Stats.Reports)
 	}
@@ -177,25 +143,21 @@ func TestSturgeondIntegration(t *testing.T) {
 		t.Errorf("coordinator_epoch %v, status says %d", got, st.Epoch)
 	}
 
-	resp, err = http.Get("http://" + b.Addr + "/v1/events")
-	if err != nil {
-		t.Fatalf("/v1/events: %v", err)
-	}
-	var events obs.EventsDoc
-	decodeErr := jsonio.Decode(resp.Body, &events)
-	resp.Body.Close()
-	if decodeErr != nil {
-		t.Fatalf("/v1/events: %v", decodeErr)
-	}
-	var grantEvents int
+	// jsonio.Decode validates the schema and strictly increasing seqs.
+	events := getEvents(t, base+"/v1/events")
+	var grantEvents, maxGrantEpoch int
 	for _, ev := range events.Events {
 		if ev.Type == obs.EventCapGranted {
 			grantEvents++
+			maxGrantEpoch = max(maxGrantEpoch, ev.Epoch)
 		}
 	}
 	if grantEvents < st.Stats.Donations+st.Stats.GrantsUp {
 		t.Errorf("journal has %d cap_granted events, below the %d moves the stats report",
 			grantEvents, st.Stats.Donations+st.Stats.GrantsUp)
+	}
+	if maxGrantEpoch < 1 {
+		t.Error("no cap_granted event carries an arbitration epoch >= 1")
 	}
 	if st.Stats.Donations == 0 {
 		t.Error("convergence loop recorded no donations; event assertions are vacuous")
@@ -204,16 +166,7 @@ func TestSturgeondIntegration(t *testing.T) {
 	// Pagination: the cursor one short of the end yields exactly the last
 	// event; the end cursor yields none.
 	last := events.Events[len(events.Events)-1].Seq
-	resp, err = http.Get("http://" + b.Addr + "/v1/events?since=" + strconv.FormatInt(last-1, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tail obs.EventsDoc
-	decodeErr = jsonio.Decode(resp.Body, &tail)
-	resp.Body.Close()
-	if decodeErr != nil {
-		t.Fatal(decodeErr)
-	}
+	tail := getEvents(t, base+"/v1/events?since="+strconv.FormatInt(last-1, 10))
 	if len(tail.Events) != 1 || tail.Events[0].Seq != last {
 		t.Errorf("since=%d returned %d events, want exactly seq %d", last-1, len(tail.Events), last)
 	}
@@ -230,17 +183,17 @@ func TestSturgeondIntegration(t *testing.T) {
 	}
 }
 
-// startSturgeond launches the built binary on a loopback port with the
-// shared 4-node/400 W arbitration flags plus extras, and decodes the
-// -json banner for the bound address and the recovery path taken.
-func startSturgeond(t *testing.T, ctx context.Context, bin string, extra ...string) (*exec.Cmd, string, string) {
+// startSturgeond launches the daemon on a loopback port with the shared
+// 4-node/400 W arbitration flags plus extras, and decodes the -json
+// banner for the bound address and the recovery path taken.
+func startSturgeond(t *testing.T, ctx context.Context, extra ...string) (*exec.Cmd, string, string) {
 	t.Helper()
 	args := append([]string{
 		"-addr", "127.0.0.1:0",
 		"-budget", "400", "-nodes", "4",
 		"-min-cap", "60", "-max-cap", "140",
 		"-json"}, extra...)
-	daemon := exec.CommandContext(ctx, bin, args...)
+	daemon := exec.CommandContext(ctx, buildSturgeond(t), args...)
 	stdout, err := daemon.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -249,56 +202,80 @@ func startSturgeond(t *testing.T, ctx context.Context, bin string, extra ...stri
 	if err := daemon.Start(); err != nil {
 		t.Fatalf("starting sturgeond: %v", err)
 	}
+	// Plain json.Decoder, not jsonio.Decode: the latter reads to EOF to
+	// reject trailing data, which blocks forever on a live pipe.
 	var b struct {
-		Addr     string `json:"addr"`
-		Recovery string `json:"recovery"`
+		Addr     string  `json:"addr"`
+		BudgetW  float64 `json:"budget_w"`
+		Recovery string  `json:"recovery"`
 	}
 	if err := json.NewDecoder(stdout).Decode(&b); err != nil {
 		_ = daemon.Process.Kill()
 		_ = daemon.Wait()
 		t.Fatalf("reading startup banner: %v", err)
 	}
+	if b.BudgetW != 400 {
+		t.Errorf("banner budget %.0f, want 400", b.BudgetW)
+	}
 	return daemon, b.Addr, b.Recovery
 }
 
-// driveConvergence pushes the canonical starved/donor fleet through the
-// daemon for the given epoch count and returns the final caps.
-func driveConvergence(t *testing.T, ctx context.Context, addr string, epochs int) map[string]float64 {
-	t.Helper()
+// newClient returns an HTTP client for the daemon at addr that rides out
+// the listener warming up.
+func newClient(addr string) *coordinator.Client {
 	cl := coordinator.NewClient("http://"+addr, 1)
 	cl.BackoffBase = 10 * time.Millisecond
 	cl.Retries = 5
+	return cl
+}
+
+// reportEpoch submits one epoch of the canonical fleet for the named
+// nodes — n0 starved against its cap, n1 a donor stranding watts, the
+// rest in band, everyone on the 100 W even split at epoch 0 — records
+// each granted cap in caps, and returns the last grant.
+func reportEpoch(t *testing.T, ctx context.Context, cl *coordinator.Client, caps map[string]float64, epoch int, ids ...string) coordinator.Grant {
+	t.Helper()
+	var g coordinator.Grant
+	for _, id := range ids {
+		slack, pw, capW := 0.15, 90.0, 100.0
+		if epoch > 0 {
+			capW = caps[id]
+			switch id {
+			case "n0":
+				slack, pw = 0.05, capW-0.5
+			case "n1":
+				slack, pw = 0.6, 70
+			}
+		}
+		var err error
+		g, err = cl.Report(ctx, coordinator.NodeReport{
+			Schema: coordinator.Schema, NodeID: id, Epoch: epoch,
+			Slack: slack, P95S: 0.004, PowerW: pw, CapW: capW,
+			BEThroughputUPS: 1000, Healthy: true,
+		})
+		if err != nil {
+			t.Fatalf("epoch %d node %s: %v", epoch, id, err)
+		}
+		caps[id] = g.CapW
+	}
+	return g
+}
+
+// driveConvergence pushes the canonical fleet through the daemon for
+// epochs 0..epochs and returns the final caps.
+func driveConvergence(t *testing.T, ctx context.Context, addr string, epochs int) map[string]float64 {
+	t.Helper()
+	cl := newClient(addr)
 	caps := map[string]float64{}
 	for epoch := 0; epoch <= epochs; epoch++ {
-		for _, id := range []string{"n0", "n1", "n2", "n3"} {
-			slack, pw := 0.15, 90.0
-			if epoch > 0 {
-				switch id {
-				case "n0":
-					slack, pw = 0.05, caps[id]-0.5
-				case "n1":
-					slack, pw = 0.6, 70
-				}
-			}
-			capW := 100.0
-			if epoch > 0 {
-				capW = caps[id]
-			}
-			g, err := cl.Report(ctx, coordinator.NodeReport{
-				Schema: coordinator.Schema, NodeID: id, Epoch: epoch,
-				Slack: slack, P95S: 0.004, PowerW: pw, CapW: capW,
-				BEThroughputUPS: 1000, Healthy: true,
-			})
-			if err != nil {
-				t.Fatalf("epoch %d node %s: %v", epoch, id, err)
-			}
-			caps[id] = g.CapW
-		}
+		reportEpoch(t, ctx, cl, caps, epoch, "n0", "n1", "n2", "n3")
 	}
 	return caps
 }
 
-func httpGetBody(t *testing.T, url string) []byte {
+// httpGetBody GETs url, requires a 200, and returns the body and its
+// Content-Type.
+func httpGetBody(t *testing.T, url string) ([]byte, string) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -309,7 +286,95 @@ func httpGetBody(t *testing.T, url string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s: %s", url, resp.Status, body)
+	}
+	return body, resp.Header.Get("Content-Type")
+}
+
+// getEvents fetches and validates a sturgeon/events/v1 document.
+func getEvents(t *testing.T, url string) obs.EventsDoc {
+	t.Helper()
+	body, _ := httpGetBody(t, url)
+	var doc obs.EventsDoc
+	if err := jsonio.Decode(bytes.NewReader(body), &doc); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return doc
+}
+
+// TestSturgeondLeaseExpiry is the degraded-mode gate over real HTTP:
+// with -lease-ttl 2, a node that goes dark after winning watts has its
+// lease expire and its cap reclaimed to the 100 W even-split floor with
+// the budget conserved, and its rejoin grant is fenced by a token past
+// its pre-partition one.
+func TestSturgeondLeaseExpiry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the daemon binary")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	daemon, addr, _ := startSturgeond(t, ctx, "-lease-ttl", "2")
+	defer func() {
+		_ = daemon.Process.Kill()
+		_ = daemon.Wait()
+	}()
+	cl := newClient(addr)
+	n0Status := func() (*coordinator.FleetStatus, coordinator.NodeStatus) {
+		t.Helper()
+		st, err := cl.Status(ctx)
+		if err != nil {
+			t.Fatalf("/fleet/status: %v", err)
+		}
+		for _, n := range st.Nodes {
+			if n.NodeID == "n0" {
+				return st, n
+			}
+		}
+		t.Fatalf("/fleet/status has no n0 row: %+v", st.Nodes)
+		return nil, coordinator.NodeStatus{}
+	}
+
+	caps := driveConvergence(t, ctx, addr, 3)
+	if !(caps["n0"] > 100) {
+		t.Fatalf("warm-up never grew n0 past the even split: %.1f W", caps["n0"])
+	}
+	// n0 goes dark while the others keep the epochs closing past its TTL.
+	for epoch := 4; epoch <= 7; epoch++ {
+		reportEpoch(t, ctx, cl, caps, epoch, "n1", "n2", "n3")
+	}
+	st, dark := n0Status()
+	if !dark.LeaseExpired {
+		t.Errorf("n0's lease never expired: %+v", dark)
+	}
+	if math.Abs(dark.CapW-100) > 1e-6 {
+		t.Errorf("expired lease not reclaimed to the 100 W floor: %.3f W", dark.CapW)
+	}
+	total := st.PoolW
+	for _, n := range st.Nodes {
+		total += n.CapW
+	}
+	if math.Abs(total-400) > 1e-6 {
+		t.Errorf("budget not conserved after reclaim: caps+pool %.3f W", total)
+	}
+
+	// Rejoin from the floor n0 ratcheted itself down to while dark.
+	caps["n0"] = 100
+	g := reportEpoch(t, ctx, cl, caps, 8, "n0")
+	if g.LeaseEpochs != 2 || g.FloorW != 100 {
+		t.Errorf("rejoin grant lease fence %d epochs / %.1f W floor, want 2 / 100", g.LeaseEpochs, g.FloorW)
+	}
+	if g.Token <= dark.LeaseToken {
+		t.Errorf("rejoin token %d not past pre-partition token %d", g.Token, dark.LeaseToken)
+	}
+	if _, back := n0Status(); back.LeaseExpired {
+		t.Errorf("rejoined node still marked expired: %+v", back)
+	}
+
+	scrape, _ := httpGetBody(t, "http://"+addr+"/metrics")
+	if got := promValue(t, string(scrape), "coordinator_lease_expirations_total"); !(got > 0) {
+		t.Errorf("coordinator_lease_expirations_total = %v, want > 0", got)
+	}
 }
 
 // TestSturgeondRecovery is the end-to-end crash-recovery gate for the
@@ -322,14 +387,12 @@ func TestSturgeondRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the daemon binary")
 	}
-	bin := buildSturgeond(t)
 	stateDir := t.TempDir()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 
-	d1, addr1, rec1 := startSturgeond(t, ctx, bin,
-		"-state", stateDir, "-snapshot-every", "100ms")
+	d1, addr1, rec1 := startSturgeond(t, ctx, "-state", stateDir, "-snapshot-every", "100ms")
 	defer func() {
 		_ = d1.Process.Kill()
 		_ = d1.Wait()
@@ -342,7 +405,7 @@ func TestSturgeondRecovery(t *testing.T) {
 	if !(caps["n0"] > 100 && caps["n1"] < 100) {
 		t.Fatalf("fleet did not converge before the kill: n0 %.1f W, n1 %.1f W", caps["n0"], caps["n1"])
 	}
-	preKill := httpGetBody(t, "http://"+addr1+"/fleet/status")
+	preKill, _ := httpGetBody(t, "http://"+addr1+"/fleet/status")
 
 	// SIGKILL: no drain, no final snapshot — recovery must come from the
 	// write-ahead log (plus whatever the background ticker snapshotted).
@@ -351,7 +414,7 @@ func TestSturgeondRecovery(t *testing.T) {
 	}
 	_ = d1.Wait()
 
-	d2, addr2, rec2 := startSturgeond(t, ctx, bin, "-state", stateDir)
+	d2, addr2, rec2 := startSturgeond(t, ctx, "-state", stateDir)
 	defer func() {
 		_ = d2.Process.Kill()
 		_ = d2.Wait()
@@ -364,31 +427,25 @@ func TestSturgeondRecovery(t *testing.T) {
 		t.Errorf("restart degraded on a healthy state dir: recovery %q", rec2)
 	}
 
-	postRecovery := httpGetBody(t, "http://"+addr2+"/fleet/status")
-	if string(postRecovery) != string(preKill) {
+	postRecovery, _ := httpGetBody(t, "http://"+addr2+"/fleet/status")
+	if !bytes.Equal(postRecovery, preKill) {
 		t.Errorf("recovered /fleet/status differs from pre-kill capture.\n--- pre-kill ---\n%s\n--- recovered ---\n%s",
 			preKill, postRecovery)
 	}
 
-	scrape := string(httpGetBody(t, "http://"+addr2+"/metrics"))
-	if got := promValue(t, scrape, "coordinator_recoveries_total"); got != 1 {
+	// A further epoch must arbitrate from where the fleet left off: the
+	// recovered coordinator serves fresher epochs, never rewinds, and
+	// keeps logging what it applies.
+	preKillCap := caps["n0"]
+	if g := reportEpoch(t, ctx, newClient(addr2), caps, 11, "n0"); g.CapW < preKillCap-1e-9 {
+		t.Errorf("post-recovery grant %.1f W rewound below the pre-kill cap %.1f W", g.CapW, preKillCap)
+	}
+	scrape, _ := httpGetBody(t, "http://"+addr2+"/metrics")
+	if got := promValue(t, string(scrape), "coordinator_recoveries_total"); got != 1 {
 		t.Errorf("coordinator_recoveries_total = %v, want 1", got)
 	}
-
-	// A couple more epochs must arbitrate from where the fleet left off:
-	// the recovered coordinator serves fresher epochs, never rewinds.
-	cl := coordinator.NewClient("http://"+addr2, 1)
-	cl.BackoffBase = 10 * time.Millisecond
-	g, err := cl.Report(ctx, coordinator.NodeReport{
-		Schema: coordinator.Schema, NodeID: "n0", Epoch: 11,
-		Slack: 0.05, P95S: 0.004, PowerW: caps["n0"] - 0.5, CapW: caps["n0"],
-		BEThroughputUPS: 1000, Healthy: true,
-	})
-	if err != nil {
-		t.Fatalf("post-recovery report: %v", err)
-	}
-	if g.CapW < caps["n0"]-1e-9 {
-		t.Errorf("post-recovery grant %.1f W rewound below the pre-kill cap %.1f W", g.CapW, caps["n0"])
+	if got := promValue(t, string(scrape), "coordinator_report_records_total"); !(got > 0) {
+		t.Errorf("coordinator_report_records_total = %v, want > 0", got)
 	}
 
 	// SIGTERM drains and cuts a final snapshot: a cold Recover on the

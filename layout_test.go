@@ -422,3 +422,135 @@ func sortedKeys(m map[string]bool) []string {
 	sort.Strings(keys)
 	return keys
 }
+
+// workflowFile is the CI workflow TestWorkflowGatesAreGoTests audits.
+const workflowFile = ".github/workflows/ci.yml"
+
+// valueFlags are the go test flags whose value the workflow may pass as
+// the next word.
+var valueFlags = map[string]bool{
+	"-C": true, "-run": true, "-bench": true, "-benchtime": true, "-list": true, "-timeout": true,
+}
+
+// TestWorkflowGatesAreGoTests keeps every CI gate runnable offline as a
+// Go test. It fails when the workflow shells out to curl or python3,
+// when a `go test` step names a package that does not exist, and when an
+// alternative of a step's -run pattern matches no Test, Fuzz or
+// Benchmark function in that step's packages.
+func TestWorkflowGatesAreGoTests(t *testing.T) {
+	data, err := os.ReadFile(workflowFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := strings.ReplaceAll(string(data), "\\\n", " ")
+	for _, line := range strings.Split(script, "\n") {
+		for _, banned := range []string{"curl", "python3"} {
+			if strings.Contains(line, banned) {
+				t.Errorf("%s: %q shells out to %s; assert it in a Go test instead", workflowFile, strings.TrimSpace(line), banned)
+			}
+		}
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		dir, runPat, pkgs := ".", "", []string(nil)
+		words := strings.Fields(cmd)
+	args:
+		for i := 0; i < len(words); i++ {
+			w := words[i]
+			switch {
+			case w == "|" || w == "||" || w == "&&" || w == ";" || w == "<" || w == ">":
+				break args
+			case strings.HasPrefix(w, "-"):
+				name, val, hasVal := strings.Cut(w, "=")
+				if !hasVal && valueFlags[name] && i+1 < len(words) {
+					i++
+					val = words[i]
+				}
+				val = strings.Trim(val, `'"`)
+				switch name {
+				case "-C":
+					dir = val
+				case "-run":
+					runPat = val
+				}
+			case w == "." || strings.HasPrefix(w, "./"):
+				pkgs = append(pkgs, w)
+			}
+		}
+		if len(pkgs) == 0 {
+			pkgs = []string{"."}
+		}
+		names := map[string]bool{}
+		for _, p := range pkgs {
+			root, recursive := strings.CutSuffix(p, "/...")
+			testNames(t, filepath.Join(dir, root), recursive, names)
+		}
+		for _, alt := range strings.Split(runPat, "|") {
+			if strings.Trim(alt, "^$") == "" {
+				continue // '^$' deliberately selects no test
+			}
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("%s: -run alternative %q: %v", workflowFile, alt, err)
+				continue
+			}
+			matched := false
+			for name := range names {
+				matched = matched || re.MatchString(name)
+			}
+			if !matched {
+				t.Errorf("%s: -run alternative %q matches no Test, Fuzz or Benchmark function in %s %v",
+					workflowFile, alt, dir, pkgs)
+			}
+		}
+	}
+}
+
+// testNames adds to names the Test, Fuzz and Benchmark functions of the
+// package in dir (and, if recursive, of every package below it in the
+// same module). It fails the test when dir is not a package directory.
+func testNames(t *testing.T, dir string, recursive bool, names map[string]bool) {
+	t.Helper()
+	fset := token.NewFileSet()
+	found := false
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == dir {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); !recursive || err == nil ||
+				strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		found = true
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				for _, prefix := range []string{"Test", "Fuzz", "Benchmark"} {
+					if strings.HasPrefix(fn.Name.Name, prefix) {
+						names[fn.Name.Name] = true
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil || !found {
+		t.Errorf("%s: go test names %s, which holds no Go package (%v)", workflowFile, dir, err)
+	}
+}
