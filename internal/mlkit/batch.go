@@ -25,20 +25,6 @@ func PredictBatch(m Regressor, X [][]float64, dst []float64) []float64 {
 	return dst
 }
 
-// TransformInto standardizes one vector into a caller-owned buffer,
-// the allocation-free counterpart of Transform.
-func (s *Scaler) TransformInto(x, dst []float64) []float64 {
-	dst = dst[:0]
-	for j, v := range x {
-		if j < len(s.Mean) {
-			dst = append(dst, (v-s.Mean[j])/s.SD[j])
-		} else {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // PredictBatch implements BatchRegressor.
 func (m *LinearRegression) PredictBatch(X [][]float64, dst []float64) []float64 {
 	for _, x := range X {

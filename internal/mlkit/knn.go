@@ -1,9 +1,5 @@
 package mlkit
 
-import (
-	"sort"
-)
-
 // knnBase stores the standardized training set shared by the KNN
 // regressor and classifier.
 type knnBase struct {
@@ -27,33 +23,55 @@ func (b *knnBase) fit(X [][]float64, n int) error {
 	return nil
 }
 
-// neighbors returns the indices of the k nearest training samples.
-func (b *knnBase) neighbors(x []float64) []int {
-	q := b.scaler.Transform(x)
-	type ds struct {
-		d   float64
-		idx int
+// knnStack bounds the neighbourhood size and the query width whose
+// scratch lives in fixed arrays on the predicting goroutine's stack;
+// larger ones fall back to the heap. The fitted model itself holds no
+// scratch, so one model is safe to query from many goroutines.
+const knnStack = 16
+
+// hit is one candidate neighbour: its squared distance to the query and
+// its training-row index.
+type hit struct {
+	d   float64
+	idx int
+}
+
+// neighbors returns the k nearest training samples in (distance, index)
+// order — the order a full sort of every row would give. It keeps a
+// bounded, sorted top-k: rows arrive in index order, and a row enters
+// only if it is strictly closer than the current k-th best, placed after
+// any equal distances already kept. hits and qbuf are caller-owned
+// scratch (pass zero-length slices of stack arrays); either grows on the
+// heap when k or the query width exceeds its capacity.
+func (b *knnBase) neighbors(x []float64, hits []hit, qbuf []float64) []hit {
+	q := b.scaler.TransformInto(x, qbuf)
+	k := b.k
+	if cap(hits) < k {
+		hits = make([]hit, 0, k)
 	}
-	all := make([]ds, len(b.xs))
+	hits = hits[:0]
 	for i, row := range b.xs {
 		d := 0.0
 		for j := range row {
 			dv := row[j] - q[j]
 			d += dv * dv
 		}
-		all[i] = ds{d, i}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
+		n := len(hits)
+		if n == k {
+			if !(d < hits[k-1].d) { // also keeps a NaN distance out
+				continue
+			}
+			n-- // the current k-th best drops out
+		} else {
+			hits = hits[:n+1]
 		}
-		return all[i].idx < all[j].idx
-	})
-	out := make([]int, b.k)
-	for i := 0; i < b.k; i++ {
-		out[i] = all[i].idx
+		for n > 0 && hits[n-1].d > d {
+			hits[n] = hits[n-1]
+			n--
+		}
+		hits[n] = hit{d, i}
 	}
-	return out
+	return hits
 }
 
 // KNNRegressor predicts the mean target of the K nearest neighbours in
@@ -82,10 +100,12 @@ func (m *KNNRegressor) Predict(x []float64) float64 {
 	if len(m.y) == 0 {
 		return 0
 	}
+	var hb [knnStack]hit
+	var qb [knnStack]float64
 	sum := 0.0
-	nb := m.base.neighbors(x)
-	for _, i := range nb {
-		sum += m.y[i]
+	nb := m.base.neighbors(x, hb[:0], qb[:0])
+	for _, h := range nb {
+		sum += m.y[h.idx]
 	}
 	return sum / float64(len(nb))
 }
@@ -117,10 +137,12 @@ func (m *KNNClassifier) PredictClass(x []float64) int {
 	if len(m.y) == 0 {
 		return 0
 	}
+	var hb [knnStack]hit
+	var qb [knnStack]float64
 	ones := 0
-	nb := m.base.neighbors(x)
-	for _, i := range nb {
-		ones += m.y[i]
+	nb := m.base.neighbors(x, hb[:0], qb[:0])
+	for _, h := range nb {
+		ones += m.y[h.idx]
 	}
 	if 2*ones >= len(nb) {
 		return 1

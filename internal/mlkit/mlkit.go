@@ -115,6 +115,20 @@ func (s *Scaler) Transform(x []float64) []float64 {
 	return out
 }
 
+// TransformInto standardizes one vector into a caller-owned buffer,
+// the allocation-free counterpart of Transform.
+func (s *Scaler) TransformInto(x, dst []float64) []float64 {
+	dst = dst[:0]
+	for j, v := range x {
+		if j < len(s.Mean) {
+			dst = append(dst, (v-s.Mean[j])/s.SD[j])
+		} else {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // TransformAll standardizes a matrix.
 func (s *Scaler) TransformAll(X [][]float64) [][]float64 {
 	out := make([][]float64, len(X))

@@ -104,6 +104,30 @@ type knnSnap struct {
 	YI     []int     // classifier labels
 }
 
+// restore checks a KNN snapshot against the invariants Fit establishes
+// and returns its training set; labels is the number of stored targets.
+// Each rule rejects a snapshot that would otherwise load and then yield
+// NaN, panic or index out of range at prediction time.
+func (s knnSnap) restore(labels int) (knnBase, error) {
+	sc := s.Scaler.restore()
+	switch {
+	case s.K <= 0:
+		return knnBase{}, fmt.Errorf("mlkit: knn snapshot with K = %d", s.K)
+	case s.K > len(s.XS):
+		return knnBase{}, fmt.Errorf("mlkit: knn snapshot K = %d exceeds its %d training rows", s.K, len(s.XS))
+	case labels != len(s.XS):
+		return knnBase{}, fmt.Errorf("mlkit: knn snapshot has %d targets for %d training rows", labels, len(s.XS))
+	case sc == nil || len(sc.Mean) != len(sc.SD):
+		return knnBase{}, fmt.Errorf("mlkit: knn snapshot without a well-formed scaler")
+	}
+	for i, row := range s.XS {
+		if len(row) != len(sc.Mean) {
+			return knnBase{}, fmt.Errorf("mlkit: knn snapshot row %d has width %d, scaler width %d", i, len(row), len(sc.Mean))
+		}
+	}
+	return knnBase{k: s.K, scaler: sc, xs: s.XS}, nil
+}
+
 type mlpSnap struct {
 	Hidden     int
 	Scaler     *scalerSnap
@@ -251,13 +275,24 @@ func Load(r io.Reader) (interface{}, error) {
 		if err := decodePayload(env.Blob, &s); err != nil {
 			return nil, err
 		}
-		return &KNNRegressor{K: s.K, base: knnBase{k: s.K, scaler: s.Scaler.restore(), xs: s.XS}, y: s.YF}, nil
+		base, err := s.restore(len(s.YF))
+		if err != nil {
+			return nil, err
+		}
+		return &KNNRegressor{K: s.K, base: base, y: s.YF}, nil
 	case "knn-clf":
 		var s knnSnap
 		if err := decodePayload(env.Blob, &s); err != nil {
 			return nil, err
 		}
-		return &KNNClassifier{K: s.K, base: knnBase{k: s.K, scaler: s.Scaler.restore(), xs: s.XS}, y: s.YI}, nil
+		base, err := s.restore(len(s.YI))
+		if err != nil {
+			return nil, err
+		}
+		if err := checkBinary(s.YI); err != nil {
+			return nil, err
+		}
+		return &KNNClassifier{K: s.K, base: base, y: s.YI}, nil
 	case "mlp-reg":
 		var s mlpSnap
 		if err := decodePayload(env.Blob, &s); err != nil {
