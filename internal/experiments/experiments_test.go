@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,6 +163,24 @@ func TestFig9And10QuickShape(t *testing.T) {
 			t.Error("table missing controller column")
 		}
 	}
+	// The rows bit for bit (amd64, like the cluster goldens): physics,
+	// search and controllers together. An intentional change updates
+	// the constant from the failure message.
+	const wantDigest = "f3303be0a8821bc9b680d58e8bce5adc3f2a6cb48dcdcb38821edddcb08fca58"
+	if got := evalRowsDigest(rows); got != wantDigest {
+		t.Errorf("Fig. 9/10 rows digest = %s, want %s", got, wantDigest)
+	}
+}
+
+// evalRowsDigest is a SHA-256 over every row's names, float bits and
+// breaker trips.
+func evalRowsDigest(rows []EvalRow) string {
+	h := sha256.New()
+	for _, r := range rows {
+		fmt.Fprintf(h, "%s|%s|%s|%x|%x|%x|%d\n", r.LS, r.BE, r.Controller,
+			math.Float64bits(r.QoSRate), math.Float64bits(r.NormBE), math.Float64bits(r.Overload), r.Trips)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestFig11TraceShape(t *testing.T) {
