@@ -120,6 +120,20 @@ func (b MemBus) Contention(demandGBs float64) float64 {
 	return m
 }
 
+// Settle runs the short fixed point that couples co-runners through the
+// bus: three rounds in which demand(c) reports the total bandwidth drawn
+// at contention c, each round's demand setting the next contention. It
+// returns the final contention and the last demand; the states demand
+// computed on its last call are the settled ones.
+func (b MemBus) Settle(demand func(contention float64) float64) (contention, gbs float64) {
+	contention = 1
+	for i := 0; i < 3; i++ {
+		gbs = demand(contention)
+		contention = b.Contention(gbs)
+	}
+	return contention, gbs
+}
+
 // Achieved returns the bandwidth the bus actually delivers for a demand
 // (demand beyond saturation is clipped).
 func (b MemBus) Achieved(demandGBs float64) float64 {

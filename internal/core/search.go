@@ -101,32 +101,28 @@ func (s *Searcher) InvalidateMemo() {
 	clear(s.memo)
 }
 
-func (s *Searcher) headroomWays() int {
-	if s.HeadroomWays == 0 {
-		return 1
+// defaultHeadroom is the grid steps granted past just-enough unless a
+// Searcher overrides it.
+const defaultHeadroom = 1
+
+// headroom resolves a headroom setting: 0 is the default, negative none.
+func headroom(h int) int {
+	if h == 0 {
+		return defaultHeadroom
 	}
-	if s.HeadroomWays < 0 {
-		return 0
-	}
-	return s.HeadroomWays
+	return max(h, 0)
 }
 
-func (s *Searcher) headroomFreq() int {
-	if s.HeadroomFreq == 0 {
-		return 1
+// guard shrinks a power budget by the guard fraction (default 0.03).
+func guard(budget power.Watts, frac float64) power.Watts {
+	if frac <= 0 {
+		frac = 0.03
 	}
-	if s.HeadroomFreq < 0 {
-		return 0
-	}
-	return s.HeadroomFreq
+	return budget * power.Watts(1-frac)
 }
 
 func (s *Searcher) guardedBudget() power.Watts {
-	g := s.PowerGuardFrac
-	if g <= 0 {
-		g = 0.03
-	}
-	return s.Budget * power.Watts(1-g)
+	return guard(s.Budget, s.PowerGuardFrac)
 }
 
 // Candidate is one just-enough configuration considered by the search.
@@ -222,7 +218,7 @@ func (s *Searcher) CandidatesInto(qps float64, dst []Candidate) []Candidate {
 	spec := s.Spec
 	maxLvl := spec.NumFreqLevels() - 1
 
-	c1min := s.minCores(qps)
+	c1min := minCores(spec, s.qosAt(qps), spec.Cores-1, spec.LLCWays)
 	if c1min < 0 {
 		return dst
 	}
@@ -276,21 +272,23 @@ func (s *Searcher) scoreFrontier(cands []Candidate) []Candidate {
 func (s *Searcher) justEnough(qps float64, c1 int) []hw.Alloc {
 	spec := s.Spec
 	maxLvl := spec.NumFreqLevels() - 1
+	ok := s.qosAt(qps)
+	hWays, hFreq := headroom(s.HeadroomWays), headroom(s.HeadroomFreq)
 	var out []hw.Alloc
 
 	// Ways-lean corner.
-	if l1 := s.minWays(qps, c1, maxLvl); l1 >= 0 {
-		l1 = min(l1+s.headroomWays(), spec.LLCWays-1)
-		if f1 := s.minFreqLevel(qps, c1, l1); f1 >= 0 {
-			f1 = min(f1+s.headroomFreq(), maxLvl)
+	if l1 := minWays(spec, ok, c1, maxLvl, spec.LLCWays-1); l1 >= 0 {
+		l1 = min(l1+hWays, spec.LLCWays-1)
+		if f1 := minFreqLevel(spec, ok, c1, l1); f1 >= 0 {
+			f1 = min(f1+hFreq, maxLvl)
 			out = append(out, hw.Alloc{Cores: c1, Freq: spec.FreqAtLevel(f1), LLCWays: l1})
 		}
 	}
 	// Power-lean corner.
-	if f1 := s.minFreqLevel(qps, c1, spec.LLCWays-1); f1 >= 0 {
-		f1 = min(f1+s.headroomFreq(), maxLvl)
-		if l1 := s.minWays(qps, c1, f1); l1 >= 0 {
-			l1 = min(l1+s.headroomWays(), spec.LLCWays-1)
+	if f1 := minFreqLevel(spec, ok, c1, spec.LLCWays-1); f1 >= 0 {
+		f1 = min(f1+hFreq, maxLvl)
+		if l1 := minWays(spec, ok, c1, f1, spec.LLCWays-1); l1 >= 0 {
+			l1 = min(l1+hWays, spec.LLCWays-1)
 			alt := hw.Alloc{Cores: c1, Freq: spec.FreqAtLevel(f1), LLCWays: l1}
 			if len(out) == 0 || out[0] != alt {
 				out = append(out, alt)
@@ -300,18 +298,18 @@ func (s *Searcher) justEnough(qps float64, c1 int) []hw.Alloc {
 	return out
 }
 
-// minCores binary-searches the minimum LS core count that meets QoS with
-// maximum frequency and all LLC ways; -1 when none does.
-func (s *Searcher) minCores(qps float64) int {
-	spec := s.Spec
-	ok := func(c int) bool {
-		return s.Pred.QoSOK(hw.Alloc{Cores: c, Freq: spec.FreqMax, LLCWays: spec.LLCWays}, qps)
-	}
-	// Keep at least one core for the BE application.
-	if !ok(spec.Cores - 1) {
+// qosAt is the pair's QoS predicate at one load.
+func (s *Searcher) qosAt(qps float64) func(hw.Alloc) bool {
+	return func(a hw.Alloc) bool { return s.Pred.QoSOK(a, qps) }
+}
+
+// minFeasible binary-searches the least v in [lo, hi] with ok(v), ok
+// being monotone as §V-B's performance monotonicity gives; -1 when even
+// hi fails or the range is empty.
+func minFeasible(lo, hi int, ok func(int) bool) int {
+	if hi < lo || !ok(hi) {
 		return -1
 	}
-	lo, hi := 1, spec.Cores-1 // invariant: ok(hi)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if ok(mid) {
@@ -323,50 +321,33 @@ func (s *Searcher) minCores(qps float64) int {
 	return hi
 }
 
-// minWays binary-searches the minimum LLC ways meeting QoS at c1 cores
-// and the given frequency level; -1 when even all-but-one way fails.
-func (s *Searcher) minWays(qps float64, c1, flvl int) int {
-	spec := s.Spec
+// The just-enough searches of §V-B, shared by the pair and the k-app
+// search: each takes one LS service's QoS predicate and the resource
+// bounds still open to it.
+
+// minCores is the minimum core count up to maxCores meeting QoS at
+// maximum frequency with the given ways; -1 when none does.
+func minCores(spec hw.Spec, ok func(hw.Alloc) bool, maxCores, ways int) int {
+	return minFeasible(1, maxCores, func(c int) bool {
+		return ok(hw.Alloc{Cores: c, Freq: spec.FreqMax, LLCWays: ways})
+	})
+}
+
+// minWays is the minimum LLC ways up to maxWays meeting QoS at the given
+// cores and frequency level; -1 when none does.
+func minWays(spec hw.Spec, ok func(hw.Alloc) bool, cores, flvl, maxWays int) int {
 	f := spec.FreqAtLevel(flvl)
-	ok := func(l int) bool {
-		return s.Pred.QoSOK(hw.Alloc{Cores: c1, Freq: f, LLCWays: l}, qps)
-	}
-	if !ok(spec.LLCWays - 1) {
-		return -1
-	}
-	lo, hi := 1, spec.LLCWays-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ok(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return hi
+	return minFeasible(1, maxWays, func(l int) bool {
+		return ok(hw.Alloc{Cores: cores, Freq: f, LLCWays: l})
+	})
 }
 
-// minFreqLevel binary-searches the minimum DVFS level meeting QoS at the
-// given cores and ways; -1 when even the maximum level fails.
-func (s *Searcher) minFreqLevel(qps float64, c1, l1 int) int {
-	spec := s.Spec
-	ok := func(lvl int) bool {
-		return s.Pred.QoSOK(hw.Alloc{Cores: c1, Freq: spec.FreqAtLevel(lvl), LLCWays: l1}, qps)
-	}
-	maxLvl := spec.NumFreqLevels() - 1
-	if !ok(maxLvl) {
-		return -1
-	}
-	lo, hi := 0, maxLvl
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ok(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return hi
+// minFreqLevel is the minimum DVFS level meeting QoS at the given cores
+// and ways; -1 when even the maximum level fails.
+func minFreqLevel(spec hw.Spec, ok func(hw.Alloc) bool, cores, ways int) int {
+	return minFeasible(0, spec.NumFreqLevels()-1, func(lvl int) bool {
+		return ok(hw.Alloc{Cores: cores, Freq: spec.FreqAtLevel(lvl), LLCWays: ways})
+	})
 }
 
 // maxBEFreqLevel binary-searches the highest BE DVFS level that keeps the

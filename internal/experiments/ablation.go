@@ -8,7 +8,6 @@ import (
 	"sturgeon/internal/core"
 	"sturgeon/internal/hw"
 	"sturgeon/internal/models"
-	"sturgeon/internal/multi"
 	"sturgeon/internal/power"
 	"sturgeon/internal/queueing"
 	"sturgeon/internal/sim"
@@ -93,59 +92,59 @@ func AblationEndToEndEngines(env *Env) *trace.Table {
 
 // MultiAppShowdown exercises the §V-B multi-application extension: two
 // LS services (memcached + xapian) share a node with two BE applications
-// (raytrace + swaptions) under the multi-way controller, compared with a
-// static half-and-half partition.
+// (raytrace + swaptions) under the k-app controller, compared with a
+// static quarters partition.
 func MultiAppShowdown(env *Env) *trace.Table {
 	tbl := trace.NewTable("Extension — multi-application co-location (memcached+xapian with rt+sp)",
 		"policy", "joint_qos", "be_units_per_s", "overload_frac")
-	apps := multi.Apps{workload.Memcached(), workload.Xapian(),
+	apps := []workload.Profile{workload.Memcached(), workload.Xapian(),
 		workload.Raytrace(), workload.Swaptions()}
-	opts := env.collectOpts()
-	lsm := map[int]*models.LSModels{}
-	bem := map[int]*models.BEModels{}
-	for _, i := range apps.LSIndices() {
-		m, err := models.FitLS(apps[i], env.LSData(apps[i]), opts.Seed)
+	seed := env.collectOpts().Seed
+	preds := make([]*models.Predictor, len(apps))
+	for i, a := range apps {
+		var err error
+		if a.Class == workload.LS {
+			preds[i], err = models.FitLS(a, env.LSData(a), seed)
+		} else {
+			preds[i], err = models.FitBE(a, env.BEData(a), seed)
+		}
 		if err != nil {
 			panic(err)
 		}
-		lsm[i] = m
-	}
-	for _, j := range apps.BEIndices() {
-		m, err := models.FitBE(apps[j], env.BEData(apps[j]), opts.Seed)
-		if err != nil {
-			panic(err)
-		}
-		bem[j] = m
 	}
 	budget := env.Budget(apps[0]) * 1.1
-	searcher := &multi.Searcher{Spec: env.Spec, Apps: apps, LS: lsm, BE: bem,
+	searcher := &core.AppSearcher{Spec: env.Spec, Apps: apps, Preds: preds,
 		Budget: budget, IdleW: power.DefaultParams().IdleW}
 
 	dur := env.Cfg.DurationS
 	tr0 := workload.Triangle(0.2, 0.6, float64(dur))
 	tr1 := workload.Diurnal(0.2, 0.5, float64(dur))
 
-	run := func(decide func(st multi.IntervalStats, qps []float64) multi.Partition, init multi.Partition, label string) {
-		node := multi.NewNode(apps, pairSeed(env.Cfg.Seed, "multi", label))
-		if err := node.Apply(init); err != nil {
+	run := func(ctrl *core.AppController, part []hw.Alloc, label string) {
+		node := sim.NewAppNode(apps, pairSeed(env.Cfg.Seed, "multi", label))
+		if err := node.Apply(part); err != nil {
 			panic(err)
 		}
 		b := power.NewBudget(budget)
+		p95 := make([]float64, len(apps))
 		var okQ, totQ, beWork float64
 		for i := 0; i < dur; i++ {
 			t := float64(i + 1)
 			qps := []float64{tr0(t) * apps[0].PeakQPS, tr1(t) * apps[1].PeakQPS}
-			st := node.Step(t, qps)
-			b.Observe(st.TruePower)
-			for _, li := range apps.LSIndices() {
-				okQ += st.Apps[li].QPS * st.Apps[li].QoSFrac
-				totQ += st.Apps[li].QPS
+			truePower, measured := node.Step(qps)
+			b.Observe(truePower)
+			for j, a := range node.Apps {
+				if a.Profile.Class == workload.LS {
+					okQ += a.QPS * a.QoSFrac
+					totQ += a.QPS
+					p95[j] = a.P95
+				} else {
+					beWork += a.BE.ThroughputUPS
+				}
 			}
-			for _, j := range apps.BEIndices() {
-				beWork += st.Apps[j].ThroughputUPS
-			}
-			if decide != nil {
-				if err := node.Apply(decide(st, qps)); err != nil {
+			if ctrl != nil {
+				part = ctrl.Decide(part, p95, qps, measured)
+				if err := node.Apply(part); err != nil {
 					panic(err)
 				}
 			}
@@ -153,24 +152,23 @@ func MultiAppShowdown(env *Env) *trace.Table {
 		tbl.Addf(label, okQ/totQ, beWork/float64(dur), b.OverloadFraction())
 	}
 
-	// Multi-Sturgeon.
-	ctrl := multi.NewController(env.Spec, apps, searcher, budget)
-	init := make(multi.Partition, len(apps))
+	// Multi-Sturgeon starts with everything granted to the first service
+	// (the k-app analogue of Alg. 1 line 1).
+	init := make([]hw.Alloc, len(apps))
 	for i := range init {
 		init[i].Freq = env.Spec.FreqMin
 	}
 	init[0] = hw.Alloc{Cores: env.Spec.Cores, Freq: env.Spec.FreqMax, LLCWays: env.Spec.LLCWays}
-	run(ctrl.Decide, init, "multi-sturgeon")
+	run(core.NewAppController(searcher), init, "multi-sturgeon")
 
-	// Static half-and-half: each service gets a fixed quarter of the
-	// machine at a middling frequency, BE apps the rest at the floor.
-	static := multi.Partition{
+	// Static quarters: each service gets a fixed quarter of the machine
+	// at a middling frequency, BE apps the rest at the floor.
+	run(nil, []hw.Alloc{
 		{Cores: 6, Freq: 2.0, LLCWays: 6},
 		{Cores: 6, Freq: 2.0, LLCWays: 6},
 		{Cores: 4, Freq: 1.2, LLCWays: 4},
 		{Cores: 4, Freq: 1.2, LLCWays: 4},
-	}
-	run(nil, static, "static-quarters")
+	}, "static-quarters")
 	return tbl
 }
 

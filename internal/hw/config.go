@@ -51,17 +51,27 @@ func (c Config) String() string {
 // Validate reports whether the two allocations individually fit the spec
 // and jointly do not oversubscribe cores or LLC ways.
 func (c Config) Validate(s Spec) error {
-	if err := c.LS.Validate(s); err != nil {
-		return fmt.Errorf("LS %v: %w", c.LS, err)
+	return ValidatePartition(s, c.LS, c.BE)
+}
+
+// ValidatePartition reports whether every allocation fits the spec on
+// its own and together they do not oversubscribe cores or LLC ways — the
+// joint-capacity check of a pair's Config and of a k-application
+// partition alike (allocations are exclusive, paper §III-C).
+func ValidatePartition(s Spec, p ...Alloc) error {
+	cores, ways := 0, 0
+	for i, a := range p {
+		if err := a.Validate(s); err != nil {
+			return fmt.Errorf("hw: app %d %v: %w", i, a, err)
+		}
+		cores += a.Cores
+		ways += a.LLCWays
 	}
-	if err := c.BE.Validate(s); err != nil {
-		return fmt.Errorf("BE %v: %w", c.BE, err)
+	if cores > s.Cores {
+		return fmt.Errorf("hw: partition allocates %d cores, spec has %d", cores, s.Cores)
 	}
-	if total := c.LS.Cores + c.BE.Cores; total > s.Cores {
-		return fmt.Errorf("hw: config %v allocates %d cores, spec has %d", c, total, s.Cores)
-	}
-	if total := c.LS.LLCWays + c.BE.LLCWays; total > s.LLCWays {
-		return fmt.Errorf("hw: config %v allocates %d LLC ways, spec has %d", c, total, s.LLCWays)
+	if ways > s.LLCWays {
+		return fmt.Errorf("hw: partition allocates %d LLC ways, spec has %d", ways, s.LLCWays)
 	}
 	return nil
 }

@@ -146,3 +146,29 @@ func TestComplementAlwaysPartitions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestValidatePartition(t *testing.T) {
+	spec := DefaultSpec()
+	good := []Alloc{
+		{Cores: 4, Freq: 1.6, LLCWays: 5},
+		{Cores: 6, Freq: 1.8, LLCWays: 5},
+		{Cores: 5, Freq: 1.2, LLCWays: 5},
+	}
+	if err := ValidatePartition(spec, good...); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string][]Alloc{
+		"core oversubscription": {{Cores: 12, Freq: 1.6, LLCWays: 5}, {Cores: 12, Freq: 1.8, LLCWays: 5}},
+		"way oversubscription":  {{Cores: 4, Freq: 1.6, LLCWays: 12}, {Cores: 4, Freq: 1.8, LLCWays: 12}},
+		"bad allocation":        {{Cores: 4, Freq: 9, LLCWays: 4}, {Cores: 4, Freq: 1.8, LLCWays: 4}},
+	} {
+		if ValidatePartition(spec, p...) == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// A pair's Config is the two-allocation partition.
+	cfg := Config{LS: good[0], BE: good[1]}
+	if (cfg.Validate(spec) == nil) != (ValidatePartition(spec, cfg.LS, cfg.BE) == nil) {
+		t.Error("Config.Validate disagrees with ValidatePartition")
+	}
+}

@@ -247,3 +247,83 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+func TestPerAppBundles(t *testing.T) {
+	ls, be := workload.Memcached(), workload.Swaptions()
+	lds := SweepLS(ls, smallOpts)
+	bds := SweepBE(be, smallOpts)
+
+	lm, err := FitLS(ls, lds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lm.QoSOK(hw.Alloc{Cores: 18, Freq: 2.2, LLCWays: 18}, 0.2*ls.PeakQPS) {
+		t.Error("LS bundle rejects a generous allocation")
+	}
+	if lm.QoSOK(hw.Alloc{Cores: 1, Freq: 1.2, LLCWays: 1}, 0.9*ls.PeakQPS) {
+		t.Error("LS bundle accepts a starved allocation")
+	}
+	if lm.QoSOK(hw.Alloc{}, 100) {
+		t.Error("zero-core allocation accepted under load")
+	}
+	pw := lm.LSPowerW(hw.Alloc{Cores: 8, Freq: 1.8, LLCWays: 8}, 0.3*ls.PeakQPS)
+	if pw < 60 || pw > 160 {
+		t.Errorf("implausible node power %v", pw)
+	}
+
+	bm, err := FitBE(be, bds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := bm.Throughput(hw.Alloc{Cores: 4, Freq: 1.4, LLCWays: 4})
+	big := bm.Throughput(hw.Alloc{Cores: 16, Freq: 2.0, LLCWays: 16})
+	if !(0 < small && small < big) {
+		t.Errorf("throughput ordering broken: %v vs %v", small, big)
+	}
+	if bm.Throughput(hw.Alloc{}) != 0 || bm.BEPowerW(hw.Alloc{}) != 0 {
+		t.Error("zero-core BE allocation should predict zeros")
+	}
+	inc := bm.BEPowerW(hw.Alloc{Cores: 16, Freq: 2.2, LLCWays: 14})
+	if inc <= 0 || inc > 80 {
+		t.Errorf("implausible incremental power %v", inc)
+	}
+}
+
+func TestFitErrorsOnEmptyDatasets(t *testing.T) {
+	ls, be := workload.Memcached(), workload.Swaptions()
+	if _, err := FitLS(ls, LSDatasets{}, 1); err == nil {
+		t.Error("empty LS datasets accepted")
+	}
+	if _, err := FitBE(be, BEDatasets{}, 1); err == nil {
+		t.Error("empty BE datasets accepted")
+	}
+}
+
+func TestTrainAutoSelect(t *testing.T) {
+	ls, be := workload.Memcached(), workload.Swaptions()
+	pred, err := Train(ls, be, TrainOptions{Collect: smallOpts, AutoSelect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The auto-selected predictor must still behave sensibly.
+	if !pred.QoSOK(hw.Alloc{Cores: 18, Freq: 2.2, LLCWays: 18}, 0.2*ls.PeakQPS) {
+		t.Error("auto-selected predictor rejects a generous allocation")
+	}
+	if pred.Throughput(hw.Alloc{Cores: 16, Freq: 2.0, LLCWays: 16}) <= 0 {
+		t.Error("auto-selected predictor predicts no throughput")
+	}
+}
+
+func TestTrainTechniqueOverrides(t *testing.T) {
+	ls, be := workload.Memcached(), workload.Swaptions()
+	pred, err := Train(ls, be, TrainOptions{
+		Collect:        smallOpts,
+		LSFeasibleTech: "MLP", LSPowerTech: "DT", BEThptTech: "KNN", BEPowerTech: "LR",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.Throughput(hw.Alloc{Cores: 10, Freq: 1.8, LLCWays: 10}) <= 0 {
+		t.Error("override-trained predictor predicts no throughput")
+	}
+}

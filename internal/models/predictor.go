@@ -96,9 +96,6 @@ func Train(ls, be workload.Profile, opts TrainOptions) (*Predictor, error) {
 // TrainFromDatasets fits the predictor from pre-collected sweeps, letting
 // callers share per-application datasets across the 18 co-location pairs.
 func TrainFromDatasets(ls, be workload.Profile, lds LSDatasets, bds BEDatasets, opts TrainOptions) (*Predictor, error) {
-	perfDS, lsPowDS, latDS := lds.Perf, lds.Power, lds.Latency
-	thptDS, bePowDS := bds.Thpt, bds.Power
-
 	seed := opts.Collect.Seed
 	pick := func(t, def mlkit.Technique) mlkit.Technique {
 		if t == "" {
@@ -111,52 +108,82 @@ func TrainFromDatasets(ls, be workload.Profile, lds LSDatasets, bds BEDatasets, 
 	beThptT := pick(opts.BEThptTech, mlkit.MLP)
 	bePowT := pick(opts.BEPowerTech, mlkit.KNN)
 	if opts.AutoSelect {
-		if s, err := CompareClassification(perfDS, seed); err == nil {
+		if s, err := CompareClassification(lds.Perf, seed); err == nil {
 			lsFeasT = Best(s).Technique
 		}
-		if s, err := CompareRegression(lsPowDS, seed); err == nil {
+		if s, err := CompareRegression(lds.Power, seed); err == nil {
 			lsPowT = Best(s).Technique
 		}
-		if s, err := CompareRegression(thptDS, seed); err == nil {
+		if s, err := CompareRegression(bds.Thpt, seed); err == nil {
 			beThptT = Best(s).Technique
 		}
-		if s, err := CompareRegression(bePowDS, seed); err == nil {
+		if s, err := CompareRegression(bds.Power, seed); err == nil {
 			bePowT = Best(s).Technique
 		}
 	}
-	p := &Predictor{
-		LS: ls, BE: be, InputLevel: be.InputLevel,
-		LSFeasible:    lsFeasT.NewClassifier(seed),
-		LSLatency:     mlkit.KNN.NewRegressor(seed),
-		LSPower:       lsPowT.NewRegressor(seed),
-		BEThpt:        beThptT.NewRegressor(seed),
-		BEPower:       bePowT.NewRegressor(seed),
-		LatencyMargin: 0.85,
+	p := &Predictor{LS: ls, BE: be}
+	if err := p.fitLS(lds, lsFeasT, lsPowT, seed); err != nil {
+		return nil, err
 	}
+	if err := p.fitBE(bds, beThptT, bePowT, seed); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// FitLS fits the LS half of a predictor alone (feasibility, latency and
+// power models at the default techniques): the per-service bundle of the
+// k-application search, where each application is searched
+// independently (§V-B).
+func FitLS(ls workload.Profile, d LSDatasets, seed int64) (*Predictor, error) {
+	p := &Predictor{LS: ls}
+	return p, p.fitLS(d, mlkit.DT, mlkit.KNN, seed)
+}
+
+// FitBE fits the BE half of a predictor alone (throughput and
+// incremental power at the default techniques).
+func FitBE(be workload.Profile, d BEDatasets, seed int64) (*Predictor, error) {
+	p := &Predictor{BE: be}
+	return p, p.fitBE(d, mlkit.MLP, mlkit.KNN, seed)
+}
+
+// fitLS fits the three LS-side models of Fig. 5.
+func (p *Predictor) fitLS(d LSDatasets, feasT, powT mlkit.Technique, seed int64) error {
+	p.LSFeasible = feasT.NewClassifier(seed)
+	p.LSLatency = mlkit.KNN.NewRegressor(seed)
+	p.LSPower = powT.NewRegressor(seed)
+	p.LatencyMargin = 0.85
+	if err := p.LSLatency.Fit(d.Latency.X, d.Latency.Y); err != nil {
+		return fmt.Errorf("models: LS latency fit: %w", err)
+	}
+	yc := make([]int, d.Perf.Len())
+	for i, v := range d.Perf.Y {
+		yc[i] = int(v)
+	}
+	if err := p.LSFeasible.Fit(d.Perf.X, yc); err != nil {
+		return fmt.Errorf("models: LS feasibility fit: %w", err)
+	}
+	if err := p.LSPower.Fit(d.Power.X, d.Power.Y); err != nil {
+		return fmt.Errorf("models: LS power fit: %w", err)
+	}
+	return nil
+}
+
+// fitBE fits the two BE-side models of Fig. 5.
+func (p *Predictor) fitBE(d BEDatasets, thptT, powT mlkit.Technique, seed int64) error {
+	p.InputLevel = p.BE.InputLevel
 	if p.InputLevel == 0 {
 		p.InputLevel = 3
 	}
-	if err := p.LSLatency.Fit(latDS.X, latDS.Y); err != nil {
-		return nil, fmt.Errorf("models: LS latency fit: %w", err)
+	p.BEThpt = thptT.NewRegressor(seed)
+	p.BEPower = powT.NewRegressor(seed)
+	if err := p.BEThpt.Fit(d.Thpt.X, d.Thpt.Y); err != nil {
+		return fmt.Errorf("models: BE throughput fit: %w", err)
 	}
-
-	yc := make([]int, perfDS.Len())
-	for i, v := range perfDS.Y {
-		yc[i] = int(v)
+	if err := p.BEPower.Fit(d.Power.X, d.Power.Y); err != nil {
+		return fmt.Errorf("models: BE power fit: %w", err)
 	}
-	if err := p.LSFeasible.Fit(perfDS.X, yc); err != nil {
-		return nil, fmt.Errorf("models: LS feasibility fit: %w", err)
-	}
-	if err := p.LSPower.Fit(lsPowDS.X, lsPowDS.Y); err != nil {
-		return nil, fmt.Errorf("models: LS power fit: %w", err)
-	}
-	if err := p.BEThpt.Fit(thptDS.X, thptDS.Y); err != nil {
-		return nil, fmt.Errorf("models: BE throughput fit: %w", err)
-	}
-	if err := p.BEPower.Fit(bePowDS.X, bePowDS.Y); err != nil {
-		return nil, fmt.Errorf("models: BE power fit: %w", err)
-	}
-	return p, nil
+	return nil
 }
 
 // lsFeatures builds the LS feature vector: the four Lasso-selected raw
@@ -270,16 +297,28 @@ func (p *Predictor) ThroughputBatch(allocs []hw.Alloc, dst []float64) []float64 
 // PowerW predicts total node power for a configuration at qps: the LS
 // model's absolute node power plus the BE model's incremental power.
 func (p *Predictor) PowerW(cfg hw.Config, qps float64) power.Watts {
-	p.queries.Add(1)
-	total := p.LSPower.Predict(lsFeatures(cfg.LS, qps))
-	if cfg.BE.Cores > 0 {
-		p.queries.Add(1)
-		inc := p.BEPower.Predict(p.beFeatures(cfg.BE))
-		if inc > 0 {
-			total += inc
-		}
+	total := p.LSPowerW(cfg.LS, qps)
+	if inc := p.BEPowerW(cfg.BE); inc > 0 {
+		total += inc
 	}
-	return power.Watts(total)
+	return total
+}
+
+// LSPowerW predicts the absolute node power of the LS service running
+// alone under the allocation at qps (platform idle included).
+func (p *Predictor) LSPowerW(a hw.Alloc, qps float64) power.Watts {
+	p.queries.Add(1)
+	return power.Watts(p.LSPower.Predict(lsFeatures(a, qps)))
+}
+
+// BEPowerW predicts the incremental node power of the BE allocation
+// (platform idle excluded); zero for a parked application.
+func (p *Predictor) BEPowerW(a hw.Alloc) power.Watts {
+	if a.Cores <= 0 {
+		return 0
+	}
+	p.queries.Add(1)
+	return power.Watts(max(p.BEPower.Predict(p.beFeatures(a)), 0))
 }
 
 // Feasible predicts whether a full configuration meets both the QoS

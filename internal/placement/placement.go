@@ -100,12 +100,11 @@ func NewPhysics(ls, be workload.Profile) *Physics {
 // lsSteady evaluates the LS side alone at the allocation and load,
 // with the short contention fixed point the simulator uses.
 func (m *Physics) lsSteady(a hw.Alloc, qps float64) workload.LSState {
-	contention := 1.0
 	var ls workload.LSState
-	for i := 0; i < 3; i++ {
-		ls = m.LS.LSRate(a, qps, contention)
-		contention = m.Bus.Contention(ls.BandwidthGBs)
-	}
+	m.Bus.Settle(func(c float64) float64 {
+		ls = m.LS.LSRate(a, qps, c)
+		return ls.BandwidthGBs
+	})
 	return ls
 }
 
@@ -135,26 +134,24 @@ func (m *Physics) QoSOK(a hw.Alloc, qps float64) bool {
 // Throughput implements PairModel: BE units/s at the allocation, with
 // the BE application's own bandwidth feeding the contention loop.
 func (m *Physics) Throughput(a hw.Alloc) float64 {
-	contention := 1.0
 	var be workload.BEState
-	for i := 0; i < 3; i++ {
-		be = m.BE.BERate(a, contention)
-		contention = m.Bus.Contention(be.BandwidthGBs)
-	}
+	m.Bus.Settle(func(c float64) float64 {
+		be = m.BE.BERate(a, c)
+		return be.BandwidthGBs
+	})
 	return be.ThroughputUPS
 }
 
 // PowerW implements PairModel: whole-node draw for the co-located
 // configuration at load, with the coupled contention fixed point.
 func (m *Physics) PowerW(cfg hw.Config, qps float64) power.Watts {
-	contention := 1.0
 	var ls workload.LSState
 	var be workload.BEState
-	for i := 0; i < 3; i++ {
-		ls = m.LS.LSRate(cfg.LS, qps, contention)
-		be = m.BE.BERate(cfg.BE, contention)
-		contention = m.Bus.Contention(ls.BandwidthGBs + be.BandwidthGBs)
-	}
+	_, demand := m.Bus.Settle(func(c float64) float64 {
+		ls = m.LS.LSRate(cfg.LS, qps, c)
+		be = m.BE.BERate(cfg.BE, c)
+		return ls.BandwidthGBs + be.BandwidthGBs
+	})
 	beUtil := 0.0
 	if cfg.BE.Cores > 0 {
 		beUtil = 1.0
@@ -164,6 +161,5 @@ func (m *Physics) PowerW(cfg hw.Config, qps float64) power.Watts {
 		{Cores: cfg.BE.Cores, Freq: cfg.BE.Freq, Util: beUtil, Activity: m.BE.Activity},
 	}
 	activeWays := cfg.LS.LLCWays + cfg.BE.LLCWays
-	dram := m.Bus.Achieved(ls.BandwidthGBs + be.BandwidthGBs)
-	return m.Power.Total(loads, activeWays, m.Spec.LLCWays, dram)
+	return m.Power.Total(loads, activeWays, m.Spec.LLCWays, m.Bus.Achieved(demand))
 }

@@ -93,14 +93,6 @@ func (a Analytic) MeanWait() float64 {
 	return a.ErlangC() / a.waitTailRate()
 }
 
-// waitCDF returns P(W ≤ t).
-func (a Analytic) waitCDF(t, pw, theta float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	return 1 - pw*math.Exp(-theta*t)
-}
-
 // SojournCDF returns P(T ≤ t) for the sojourn time T = W + S:
 // F_T(t) = F_S(t) − Pw·∫₀ᵗ f_S(s)·e^{−θ(t−s)} ds. Substituting
 // u = F_S(s) turns the integral into ∫₀^{F_S(t)} e^{−θ(t−Q_S(u))} du.

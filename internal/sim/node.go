@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sturgeon/internal/cache"
 	"sturgeon/internal/faults"
@@ -82,12 +83,14 @@ type Node struct {
 	// lat is reusable scratch for the analytic latency engine, keeping
 	// the steady-state step allocation-free.
 	lat queueing.Evaluator
-	// backlog carries queued-but-unserved queries across intervals: a
-	// service pushed past saturation does not recover instantly when
-	// capacity returns — the queue drains over the following intervals
-	// with elevated latency, exactly the gradual degradation feedback
-	// controllers rely on for a usable gradient.
-	backlog float64
+	// pair is Step's two-app list [LS, BE], kept so a step neither
+	// allocates nor re-zeroes it. pair[0].Backlog carries queued-but-
+	// unserved queries across intervals: a service pushed past saturation
+	// does not recover instantly when capacity returns — the queue drains
+	// over the following intervals with elevated latency, exactly the
+	// gradual degradation feedback controllers rely on for a usable
+	// gradient.
+	pair [2]App
 }
 
 // NewNode builds a node with the paper's default platform, the default
@@ -157,143 +160,248 @@ func (n *Node) Apply(cfg hw.Config) error {
 // Config returns the configuration currently in force.
 func (n *Node) Config() hw.Config { return n.cfg }
 
-// physics solves the steady state of one interval: a short fixed-point
-// iteration couples the two applications through memory-bus contention.
-// It returns the LS state, the BE state, the contention multiplier, and
-// the LS power utilization.
-func (n *Node) physics(qps, svcFactor, extraBW float64) (workload.LSState, workload.BEState, float64, float64) {
-	contention := 1.0
-	var ls workload.LSState
-	var be workload.BEState
-	for i := 0; i < 3; i++ {
-		ls = n.LSProfile.LSRate(n.cfg.LS, qps, contention)
-		be = n.BEProfile.BERate(n.cfg.BE, contention)
-		demand := ls.BandwidthGBs + be.BandwidthGBs + extraBW
-		contention = n.Bus.Contention(demand)
-	}
-	// Interference inflates LS per-query time through *stalls* on
-	// unmanaged shared resources. Stalled cycles occupy the core (so the
-	// queueing capacity shrinks by the full factor) but toggle little
-	// switching capacitance, so dynamic power tracks the pre-inflation
-	// busy fraction.
-	powerUtil := math.Min(ls.Rho, 1)
-	ls.SvcMean *= svcFactor
-	ls.Rho *= svcFactor
-	ls.Util = math.Min(ls.Rho, 1)
-	return ls, be, contention, powerUtil
+// App is one application's share of a node interval. Node.Step steps
+// its LS/BE pair as a two-app list; AppNode steps k of them. The caller
+// sets Profile, Alloc and QPS (read for LS services only); Backlog is the
+// LS queue carried across intervals, which the step advances; the rest
+// is what the interval's physics made of the application.
+type App struct {
+	Profile *workload.Profile
+	Alloc   hw.Alloc
+	QPS     float64
+	Backlog float64
+
+	// LS and BE are the settled states at the interval's bus contention;
+	// LS's service time, Rho and Util carry the interference inflation.
+	LS workload.LSState
+	BE workload.BEState
+	// TrueP95 is the physics tail latency, P95 the noisy measurement and
+	// QoSFrac the true fraction of queries within target (LS only).
+	TrueP95, P95, QoSFrac float64
+
+	ls        bool    // latency-sensitive: queue, tail latency, p95 noise
+	powerUtil float64 // LS busy fraction before interference stalls
 }
 
-// Step advances one interval of dt = 1 s at the given offered load and
-// returns its statistics. The configuration applied beforehand is in
-// force for the whole interval.
-func (n *Node) Step(t, qps float64) IntervalStats {
-	svcFactor, extraBW, interfering := 1.0, 0.0, false
+// interval runs one interval's physics over an application list: the bus
+// contention fixed point (demand summed in list order, then the
+// interference traffic), each LS service's queue and tail latency, and
+// the node's power. The node rng is drawn in one fixed order —
+// interference, DES per LS service, meter, p95 noise per LS service — so
+// a two-app list [LS, BE] is exactly the pair's Step.
+func (n *Node) interval(apps []App) (truePower, measPower power.Watts, contention float64, interfering bool) {
+	svcFactor, extraBW := 1.0, 0.0
 	if n.Interf != nil {
 		svcFactor, extraBW, interfering = n.Interf.Step()
 	}
-	ls, be, contention, lsPowerUtil := n.physics(qps, svcFactor, extraBW)
+	contention, demand := n.Bus.Settle(func(c float64) float64 {
+		d := 0.0
+		for i := range apps {
+			a := &apps[i]
+			if a.ls {
+				a.LS = a.Profile.LSRate(a.Alloc, a.QPS, c)
+				d += a.LS.BandwidthGBs
+			} else {
+				a.BE = a.Profile.BERate(a.Alloc, c)
+				d += a.BE.BandwidthGBs
+			}
+		}
+		return d + extraBW
+	})
 
-	// Queue backlog dynamics: compute the average extra wait imposed by
-	// queries left over from previous intervals, then update the backlog
-	// with this interval's net flow.
-	backlogWait := n.stepBacklog(qps, ls.SvcMean)
-
-	// Latency: the chosen queueing engine on the effective service time,
-	// shifted by the backlog drain wait.
-	target := n.LSProfile.QoSTargetS
 	pct := n.QoSPercentile
 	if pct <= 0 || pct >= 1 {
 		pct = 0.95
 	}
-	var trueP95, qosFrac float64
-	if n.UseDES {
-		trueP95, qosFrac = n.desLatency(qps, ls.SvcMean, target, backlogWait, pct)
-	} else {
-		q := queueing.Analytic{
-			Lambda:    qps,
-			Servers:   n.cfg.LS.Cores,
-			SvcMean:   ls.SvcMean,
-			SvcCV:     n.LSProfile.SvcCV,
-			ArrivalCV: n.LSProfile.ArrivalCV,
-			IntervalS: 1,
+	for i := range apps {
+		if a := &apps[i]; a.ls {
+			n.serve(a, svcFactor, pct)
 		}
-		budget := target - backlogWait
-		p95, frac := n.Latency.Solve(q, pct, budget, &n.lat)
-		trueP95 = p95 + backlogWait
-		if budget > 0 {
-			qosFrac = frac
-		}
-	}
-	if qps <= 0 && n.backlog <= 0 {
-		trueP95, qosFrac = 0, 1
 	}
 
 	// Power: BE cores spin at full residency; LS cores track load.
-	beUtil := 0.0
-	if n.cfg.BE.Cores > 0 {
-		beUtil = 1.0
+	var buf [2]power.CoreLoad
+	loads, activeWays := buf[:0], 0
+	for i := range apps {
+		a := &apps[i]
+		util := a.powerUtil
+		if !a.ls {
+			util = 0
+			if a.Alloc.Cores > 0 {
+				util = 1
+			}
+		}
+		loads = append(loads, power.CoreLoad{Cores: a.Alloc.Cores, Freq: a.Alloc.Freq, Util: util, Activity: a.Profile.Activity})
+		activeWays += a.Alloc.LLCWays
 	}
-	loads := []power.CoreLoad{
-		{Cores: n.cfg.LS.Cores, Freq: n.cfg.LS.Freq, Util: lsPowerUtil, Activity: n.LSProfile.Activity},
-		{Cores: n.cfg.BE.Cores, Freq: n.cfg.BE.Freq, Util: beUtil, Activity: n.BEProfile.Activity},
-	}
-	activeWays := n.cfg.LS.LLCWays + n.cfg.BE.LLCWays
-	dram := n.Bus.Achieved(ls.BandwidthGBs + be.BandwidthGBs + extraBW)
-	truePower := n.PowerParams.Total(loads, activeWays, n.Spec.LLCWays, dram)
-	measPower := truePower
+	truePower = n.PowerParams.Total(loads, activeWays, n.Spec.LLCWays, n.Bus.Achieved(demand))
+	measPower = truePower
 	if n.Meter != nil {
 		measPower = n.Meter.Read(truePower, 1)
 	}
 
 	// Latency measurement noise grows near saturation, where a 1 s
 	// window of a heavy tail is an unstable estimator.
-	measP95 := trueP95
-	if n.P95NoiseSD > 0 && trueP95 > 0 && !math.IsInf(trueP95, 1) {
-		sd := n.P95NoiseSD
-		if ls.Rho > 0.75 {
-			sd += 0.10 * math.Min((ls.Rho-0.75)/0.25, 2)
+	for i := range apps {
+		a := &apps[i]
+		if !a.ls {
+			continue
 		}
-		measP95 = trueP95 * math.Exp(n.rng.NormFloat64()*sd)
+		a.P95 = a.TrueP95
+		if n.P95NoiseSD > 0 && a.TrueP95 > 0 && !math.IsInf(a.TrueP95, 1) {
+			sd := n.P95NoiseSD
+			if a.LS.Rho > 0.75 {
+				sd += 0.10 * math.Min((a.LS.Rho-0.75)/0.25, 2)
+			}
+			a.P95 = a.TrueP95 * math.Exp(n.rng.NormFloat64()*sd)
+		}
 	}
+	return truePower, measPower, contention, interfering
+}
 
+// serve settles one LS service's interval: interference stalls, the
+// carried queue and the tail latency from the node's latency engine.
+func (n *Node) serve(a *App, svcFactor, pct float64) {
+	// Interference inflates LS per-query time through *stalls* on
+	// unmanaged shared resources. Stalled cycles occupy the core (so the
+	// queueing capacity shrinks by the full factor) but toggle little
+	// switching capacitance, so dynamic power tracks the pre-inflation
+	// busy fraction.
+	a.powerUtil = math.Min(a.LS.Rho, 1)
+	a.LS.SvcMean *= svcFactor
+	a.LS.Rho *= svcFactor
+	a.LS.Util = math.Min(a.LS.Rho, 1)
+
+	// Queue backlog dynamics: the average extra wait imposed by queries
+	// left over from previous intervals, then this interval's net flow.
+	backlogWait := a.stepBacklog()
+
+	// Latency: the chosen queueing engine on the effective service time,
+	// shifted by the backlog drain wait.
+	target := a.Profile.QoSTargetS
+	if n.UseDES {
+		a.TrueP95, a.QoSFrac = n.desLatency(a, target, backlogWait, pct)
+	} else {
+		q := queueing.Analytic{
+			Lambda:    a.QPS,
+			Servers:   a.Alloc.Cores,
+			SvcMean:   a.LS.SvcMean,
+			SvcCV:     a.Profile.SvcCV,
+			ArrivalCV: a.Profile.ArrivalCV,
+			IntervalS: 1,
+		}
+		budget := target - backlogWait
+		p95, frac := n.Latency.Solve(q, pct, budget, &n.lat)
+		a.TrueP95, a.QoSFrac = p95+backlogWait, 0
+		if budget > 0 {
+			a.QoSFrac = frac
+		}
+	}
+	if a.QPS <= 0 && a.Backlog <= 0 {
+		a.TrueP95, a.QoSFrac = 0, 1
+	}
+}
+
+// Step advances one interval of dt = 1 s at the given offered load and
+// returns its statistics. The configuration applied beforehand is in
+// force for the whole interval.
+func (n *Node) Step(t, qps float64) IntervalStats {
+	ls, be := &n.pair[0], &n.pair[1]
+	ls.Profile, ls.Alloc, ls.QPS, ls.ls = &n.LSProfile, n.cfg.LS, qps, true
+	be.Profile, be.Alloc = &n.BEProfile, n.cfg.BE
+	truePower, measPower, contention, interfering := n.interval(n.pair[:])
 	return IntervalStats{
 		Time:            t,
 		QPS:             qps,
-		TrueP95:         trueP95,
-		P95:             measP95,
-		QoSFrac:         qosFrac,
-		BEThroughputUPS: be.ThroughputUPS,
+		TrueP95:         ls.TrueP95,
+		P95:             ls.P95,
+		QoSFrac:         ls.QoSFrac,
+		BEThroughputUPS: be.BE.ThroughputUPS,
 		TruePower:       truePower,
 		Power:           measPower,
-		LSUtil:          ls.Util,
-		BEUtil:          be.Util,
-		LSRho:           ls.Rho,
+		LSUtil:          ls.LS.Util,
+		BEUtil:          be.BE.Util,
+		LSRho:           ls.LS.Rho,
 		Contention:      contention,
 		Interference:    interfering,
 		Config:          n.cfg,
 	}
 }
 
+// AppNode hosts k co-located applications — any mix of LS services and
+// BE applications, the paper's §V-B extension — on one Node's platform,
+// noise sources and latency engine. Its Step runs Node.Step's interval
+// physics over the application list, so k = 2 with [LS, BE] reproduces
+// Node.Step bit for bit; the Node's own LS/BE pair plays no part.
+type AppNode struct {
+	Node *Node
+	Apps []App
+}
+
+// NewAppNode builds a k-app node with NewNode's default physics, every
+// application parked (no cores) until Apply.
+func NewAppNode(profiles []workload.Profile, seed int64) *AppNode {
+	m := &AppNode{Node: NewNode(workload.Profile{}, workload.Profile{}, seed), Apps: make([]App, len(profiles))}
+	for i := range profiles {
+		p := profiles[i]
+		m.Apps[i] = App{Profile: &p, ls: p.Class == workload.LS}
+	}
+	return m
+}
+
+// Apply installs a partition, one allocation per application, clamping
+// frequencies and validating joint capacity like Node.Apply.
+func (m *AppNode) Apply(part []hw.Alloc) error {
+	if len(part) != len(m.Apps) {
+		return fmt.Errorf("sim: apply: %d allocations for %d apps", len(part), len(m.Apps))
+	}
+	q := slices.Clone(part)
+	for i := range q {
+		q[i].Freq = m.Node.Spec.ClampFreq(q[i].Freq)
+	}
+	if err := hw.ValidatePartition(m.Node.Spec, q...); err != nil {
+		return fmt.Errorf("sim: apply: %w", err)
+	}
+	for i := range q {
+		m.Apps[i].Alloc = q[i]
+	}
+	return nil
+}
+
+// Step advances one 1 s interval. qps holds each application's offered
+// load, index-aligned with Apps (BE entries are ignored; missing ones
+// are zero). It returns the true and the metered node power.
+func (m *AppNode) Step(qps []float64) (truePower, measured power.Watts) {
+	for i := range m.Apps {
+		m.Apps[i].QPS = 0
+		if i < len(qps) {
+			m.Apps[i].QPS = qps[i]
+		}
+	}
+	truePower, measured, _, _ = m.Node.interval(m.Apps)
+	return truePower, measured
+}
+
 // desLatency runs a per-interval discrete-event simulation (sampling at
 // most ~20 k queries and scaling) and returns the tail latency and the
 // in-target fraction, both shifted by the carried-backlog wait.
-func (n *Node) desLatency(qps, svcMean, target, backlogWait, pct float64) (float64, float64) {
-	if n.cfg.LS.Cores <= 0 || qps <= 0 {
+func (n *Node) desLatency(a *App, target, backlogWait, pct float64) (float64, float64) {
+	if a.Alloc.Cores <= 0 || a.QPS <= 0 {
 		return math.Inf(1), 0
 	}
-	cv := n.LSProfile.ArrivalCV
+	cv := a.Profile.ArrivalCV
 	if cv <= 0 {
 		cv = 1
 	}
 	batch := (cv*cv + 1) / 2 // CVa² ≈ 2m−1 for geometric batches
 	d := &queueing.DES{
-		Servers:   n.cfg.LS.Cores,
-		SvcMean:   svcMean,
-		SvcCV:     n.LSProfile.SvcCV,
+		Servers:   a.Alloc.Cores,
+		SvcMean:   a.LS.SvcMean,
+		SvcCV:     a.Profile.SvcCV,
 		BatchMean: batch,
 		Rng:       n.rng,
 	}
-	lat := d.Run(qps, 0.2, 1)
+	lat := d.Run(a.QPS, 0.2, 1)
 	if lat.N() == 0 {
 		return math.Inf(1), 0
 	}
@@ -307,14 +415,15 @@ func (n *Node) desLatency(qps, svcMean, target, backlogWait, pct float64) (float
 
 // stepBacklog advances the carried queue by one 1 s interval and returns
 // the average extra wait new arrivals experienced behind it.
-func (n *Node) stepBacklog(qps, svcMean float64) float64 {
-	if n.cfg.LS.Cores <= 0 || svcMean <= 0 {
+func (a *App) stepBacklog() float64 {
+	qps, svcMean := a.QPS, a.LS.SvcMean
+	if a.Alloc.Cores <= 0 || svcMean <= 0 {
 		// No servers: everything offered this interval queues.
-		n.backlog += qps
+		a.Backlog += qps
 		return math.Inf(1)
 	}
-	capacity := float64(n.cfg.LS.Cores) / svcMean // queries/s
-	start := n.backlog
+	capacity := float64(a.Alloc.Cores) / svcMean // queries/s
+	start := a.Backlog
 	net := qps - capacity // backlog growth rate while positive
 
 	var avg float64
@@ -340,7 +449,7 @@ func (n *Node) stepBacklog(qps, svcMean float64) float64 {
 	if limit := 0.5 * capacity; end > limit {
 		end = limit
 	}
-	n.backlog = end
+	a.Backlog = end
 	if avg < 0 {
 		avg = 0
 	}
@@ -348,24 +457,23 @@ func (n *Node) stepBacklog(qps, svcMean float64) float64 {
 }
 
 // Backlog returns the queries currently carried over (ground truth).
-func (n *Node) Backlog() float64 { return n.backlog }
+func (n *Node) Backlog() float64 { return n.pair[0].Backlog }
 
 // ResetQueue clears carried backlog — used between profiling samples,
 // where each measured configuration must start from a drained service
 // (the paper's offline sweeps restart the load generator per point).
-func (n *Node) ResetQueue() { n.backlog = 0 }
+func (n *Node) ResetQueue() { n.pair[0].Backlog = 0 }
 
 // SoloBEThroughput returns the BE application's throughput running alone
 // on the whole machine at maximum frequency — the normalization basis of
 // Fig. 10.
 func SoloBEThroughput(spec hw.Spec, bus cache.MemBus, be workload.Profile) float64 {
 	alloc := hw.SoloBE(spec).BE
-	contention := 1.0
 	var st workload.BEState
-	for i := 0; i < 3; i++ {
-		st = be.BERate(alloc, contention)
-		contention = bus.Contention(st.BandwidthGBs)
-	}
+	bus.Settle(func(c float64) float64 {
+		st = be.BERate(alloc, c)
+		return st.BandwidthGBs
+	})
 	return st.ThroughputUPS
 }
 
@@ -374,12 +482,11 @@ func SoloBEThroughput(spec hw.Spec, bus cache.MemBus, be workload.Profile) float
 // power-budget definition (§III-B).
 func LSPeakPower(spec hw.Spec, params power.Params, bus cache.MemBus, ls workload.Profile) power.Watts {
 	alloc := hw.SoloLS(spec).LS
-	contention := 1.0
 	var st workload.LSState
-	for i := 0; i < 3; i++ {
-		st = ls.LSRate(alloc, ls.PeakQPS, contention)
-		contention = bus.Contention(st.BandwidthGBs)
-	}
+	bus.Settle(func(c float64) float64 {
+		st = ls.LSRate(alloc, ls.PeakQPS, c)
+		return st.BandwidthGBs
+	})
 	loads := []power.CoreLoad{
 		{Cores: alloc.Cores, Freq: alloc.Freq, Util: st.Util, Activity: ls.Activity},
 	}

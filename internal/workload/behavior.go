@@ -25,7 +25,7 @@ type BEState struct {
 
 // BERate evaluates the BE profile on an allocation. BE applications spin
 // on all allocated cores, so Util reflects only scaling inefficiency.
-func (p Profile) BERate(a hw.Alloc, contention float64) BEState {
+func (p *Profile) BERate(a hw.Alloc, contention float64) BEState {
 	if a.Cores <= 0 {
 		return BEState{}
 	}
@@ -64,7 +64,7 @@ type LSState struct {
 }
 
 // LSRate evaluates the LS profile on an allocation at qps offered load.
-func (p Profile) LSRate(a hw.Alloc, qps, contention float64) LSState {
+func (p *Profile) LSRate(a hw.Alloc, qps, contention float64) LSState {
 	if a.Cores <= 0 {
 		return LSState{}
 	}
