@@ -218,7 +218,10 @@ func (s *Searcher) CandidatesInto(qps float64, dst []Candidate) []Candidate {
 	spec := s.Spec
 	maxLvl := spec.NumFreqLevels() - 1
 
-	c1min := minCores(spec, s.qosAt(qps), spec.Cores-1, spec.LLCWays)
+	// At maximum frequency with all LLC ways; keep at least one core
+	// for the BE application.
+	ok := func(a hw.Alloc) bool { return s.Pred.QoSOK(a, qps) }
+	c1min := minCores(spec, ok, spec.Cores-1, spec.LLCWays)
 	if c1min < 0 {
 		return dst
 	}
@@ -272,7 +275,7 @@ func (s *Searcher) scoreFrontier(cands []Candidate) []Candidate {
 func (s *Searcher) justEnough(qps float64, c1 int) []hw.Alloc {
 	spec := s.Spec
 	maxLvl := spec.NumFreqLevels() - 1
-	ok := s.qosAt(qps)
+	ok := func(a hw.Alloc) bool { return s.Pred.QoSOK(a, qps) }
 	hWays, hFreq := headroom(s.HeadroomWays), headroom(s.HeadroomFreq)
 	var out []hw.Alloc
 
@@ -296,11 +299,6 @@ func (s *Searcher) justEnough(qps float64, c1 int) []hw.Alloc {
 		}
 	}
 	return out
-}
-
-// qosAt is the pair's QoS predicate at one load.
-func (s *Searcher) qosAt(qps float64) func(hw.Alloc) bool {
-	return func(a hw.Alloc) bool { return s.Pred.QoSOK(a, qps) }
 }
 
 // minFeasible binary-searches the least v in [lo, hi] with ok(v), ok

@@ -15,6 +15,8 @@ import (
 // Predictor is the Fig. 5 prediction engine for one co-location pair: it
 // answers QoS feasibility for the LS service, throughput for the BE
 // application, and total node power for a full configuration.
+// FitLS and FitBE fit one half alone — the per-application bundles of
+// the k-application search.
 type Predictor struct {
 	LS workload.Profile
 	BE workload.Profile
@@ -39,10 +41,9 @@ type Predictor struct {
 	// p95/target floor or no configuration can ever qualify.
 	LatencyMargin float64
 
-	// IdleW is the platform idle power added back when composing total
-	// power from the LS (absolute) and BE (incremental) models.
-	// The LS model's label already contains it, so composition is
-	// LSPower + BEPower (incremental).
+	// queries counts model invocations (Queries). Total power needs no
+	// idle term: the LS power label already contains the platform idle,
+	// so PowerW composes LSPower (absolute) + BEPower (incremental).
 	queries atomic.Int64
 }
 

@@ -179,8 +179,10 @@ type App struct {
 	// QoSFrac the true fraction of queries within target (LS only).
 	TrueP95, P95, QoSFrac float64
 
-	ls        bool    // latency-sensitive: queue, tail latency, p95 noise
-	powerUtil float64 // LS busy fraction before interference stalls
+	ls bool // latency-sensitive: queue, tail latency, p95 noise
+	// powerUtil is the busy fraction behind dynamic power: an LS
+	// service's before interference stalls, 1 for a running BE app.
+	powerUtil float64
 }
 
 // interval runs one interval's physics over an application list: the bus
@@ -214,24 +216,22 @@ func (n *Node) interval(apps []App) (truePower, measPower power.Watts, contentio
 		pct = 0.95
 	}
 	for i := range apps {
-		if a := &apps[i]; a.ls {
+		a := &apps[i]
+		switch {
+		case a.ls:
 			n.serve(a, svcFactor, pct)
+		case a.Alloc.Cores > 0:
+			a.powerUtil = 1 // BE cores spin at full residency
+		default:
+			a.powerUtil = 0
 		}
 	}
 
-	// Power: BE cores spin at full residency; LS cores track load.
 	var buf [2]power.CoreLoad
 	loads, activeWays := buf[:0], 0
 	for i := range apps {
 		a := &apps[i]
-		util := a.powerUtil
-		if !a.ls {
-			util = 0
-			if a.Alloc.Cores > 0 {
-				util = 1
-			}
-		}
-		loads = append(loads, power.CoreLoad{Cores: a.Alloc.Cores, Freq: a.Alloc.Freq, Util: util, Activity: a.Profile.Activity})
+		loads = append(loads, power.CoreLoad{Cores: a.Alloc.Cores, Freq: a.Alloc.Freq, Util: a.powerUtil, Activity: a.Profile.Activity})
 		activeWays += a.Alloc.LLCWays
 	}
 	truePower = n.PowerParams.Total(loads, activeWays, n.Spec.LLCWays, n.Bus.Achieved(demand))
