@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,5 +59,30 @@ func TestOutputFailureIsReturned(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-exp", "fig2", "-quick", "-out", notDir}, &out); err == nil {
 		t.Error("writing under a regular file succeeded")
+	}
+}
+
+// TestFiguresMatchCommittedResults regenerates Fig. 2 and Fig. 3 at the
+// default scale and seed and requires every table to equal, byte for
+// byte, the copy committed under results/.
+func TestFiguresMatchCommittedResults(t *testing.T) {
+	dir := t.TempDir()
+	for _, exp := range []string{"fig2", "fig3"} {
+		if err := run([]string{"-exp", exp, "-out", dir}, io.Discard); err != nil {
+			t.Fatalf("-exp %s: %v", exp, err)
+		}
+	}
+	for _, name := range []string{"fig2.csv", "fig3_paper_pairs.csv", "fig3_frontier.csv"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from results/%s:\n%s", name, name, got)
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sturgeon/internal/hw"
 )
 
 // Shared quick-mode environment: sweeps are the expensive part.
@@ -40,6 +42,37 @@ func TestFig2ShapeAllPairsOverload(t *testing.T) {
 	if !strings.Contains(tbl.String(), "memcached+bs") {
 		t.Error("table missing pair rows")
 	}
+	// The rows bit for bit, like the Fig. 9/10 digest below.
+	const wantDigest = "f59fabd4ef768b4932a9afb7212ea5ecb2f7f08f9eb4769cac067d6c4e129768"
+	if got := fig2RowsDigest(rows); got != wantDigest {
+		t.Errorf("Fig. 2 rows digest = %s, want %s", got, wantDigest)
+	}
+}
+
+// fig2RowsDigest is a SHA-256 over every Fig. 2 row's names, float bits
+// and verdict.
+func fig2RowsDigest(rows []Fig2Row) string {
+	h := sha256.New()
+	for _, r := range rows {
+		fmt.Fprintf(h, "%s|%s|%x|%x|%x|%t\n", r.LS, r.BE, math.Float64bits(r.BudgetW),
+			math.Float64bits(r.PowerW), math.Float64bits(r.Ratio), r.Overloads)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// fig3RowsDigest is a SHA-256 over every Fig. 3 row's names, both
+// configurations, float bits and winner.
+func fig3RowsDigest(rows []Fig3Row) string {
+	h := sha256.New()
+	cfg := func(c hw.Config) string {
+		return fmt.Sprintf("%d,%x,%d;%d,%x,%d", c.LS.Cores, math.Float64bits(float64(c.LS.Freq)), c.LS.LLCWays,
+			c.BE.Cores, math.Float64bits(float64(c.BE.Freq)), c.BE.LLCWays)
+	}
+	for _, r := range rows {
+		fmt.Fprintf(h, "%s|%s|%x|%s|%s|%x|%x|%s\n", r.LS, r.BE, math.Float64bits(r.LoadFrac),
+			cfg(r.CoreRich), cfg(r.FreqRich), math.Float64bits(r.ThptCores), math.Float64bits(r.ThptFreq), r.Winner)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestFig3PaperPairsShape(t *testing.T) {
@@ -71,6 +104,10 @@ func TestFig3PaperPairsShape(t *testing.T) {
 	if !feAt35Cores {
 		t.Error("ferret did not prefer cores at 35% load")
 	}
+	const wantDigest = "3b2d63876851201641258b2027d9c4cc4295b5b9ebf6f0062d8691763e3cd2bd"
+	if got := fig3RowsDigest(rows); got != wantDigest {
+		t.Errorf("Fig. 3 paper-pair rows digest = %s, want %s", got, wantDigest)
+	}
 }
 
 func TestFig3FrontierProducesComparisons(t *testing.T) {
@@ -85,6 +122,12 @@ func TestFig3FrontierProducesComparisons(t *testing.T) {
 		if r.ThptCores > 1.01 || r.ThptFreq > 1.01 {
 			t.Errorf("%s: normalized throughput above solo", r.BE)
 		}
+	}
+	// The frontier digest also pins which configurations the ground-truth
+	// search offers, not only their measured throughputs.
+	const wantDigest = "95ea2e34be0967cf32306abb2afcfb8f3e37b68f9ae700097d4428af12fcf1e0"
+	if got := fig3RowsDigest(rows); got != wantDigest {
+		t.Errorf("Fig. 3 frontier rows digest = %s, want %s", got, wantDigest)
 	}
 }
 
