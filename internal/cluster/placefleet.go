@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"sturgeon/internal/control"
+	"sturgeon/internal/core"
 	"sturgeon/internal/hw"
 	"sturgeon/internal/placement"
 	"sturgeon/internal/power"
@@ -52,9 +53,10 @@ type PlacementFleetOptions struct {
 	// planner); false runs the random-pairing baseline on the same
 	// fleet with the same jobs and no planner.
 	Placed bool
-	// Models optionally overrides the per-job pair model (trained
-	// predictors via experiments); nil uses the analytic Physics model.
-	Models func(ls, be workload.Profile) placement.PairModel
+	// Models optionally overrides the per-job predictor (trained
+	// predictors via experiments); nil scores with the node physics,
+	// sim.Oracle at placementMargin.
+	Models func(ls, be workload.Profile) core.Predictor
 	// ForceAssign, when non-nil in the Placed arm, overrides the
 	// solver's initial job→node assignment. Tests use it to hand the
 	// migration planner a deliberately bad placement and watch it
@@ -131,6 +133,11 @@ func (o PlacementFleetOptions) Trace() workload.Trace {
 	return o.Flash().Trace()
 }
 
+// placementMargin is the headroom the physics scorer keeps on the QoS
+// target: a configuration is feasible only when its tail latency sits
+// within 0.9 × target, absorbing load drift between epochs.
+const placementMargin = 0.9
+
 // placementSplit is the boot configuration of every node: an LS-heavy
 // split whose BE partition stays reserved even on idle nodes, so a
 // migrated job can land without touching the LS side. It must match
@@ -175,20 +182,16 @@ func BuildPlacementFleet(o PlacementFleetOptions) (*Cluster, error) {
 		c.caps[i] = power.Watts(o.CapW(i))
 	}
 
-	// Pair models and the score matrix. QuietNode physics make the run
-	// deterministic; the Physics model predicts the same equations in
-	// closed form, so solver and simulator agree on preferences.
+	// Pair predictors and the score matrix. QuietNode physics make the
+	// run deterministic; the oracle evaluates the same interval
+	// equations, so solver and simulator agree on preferences.
 	scorer := placement.NewScorer(hw.DefaultSpec())
 	shared := queueing.NewCache()
 	pjobs := make([]placement.Job, len(jobs))
 	for j := range jobs {
-		var m placement.PairModel
+		var m core.Predictor = sim.NewOracle(ls, jobs[j].BE, placementMargin, shared)
 		if o.Models != nil {
 			m = o.Models(ls, jobs[j].BE)
-		} else {
-			ph := placement.NewPhysics(ls, jobs[j].BE)
-			ph.Latency = shared
-			m = ph
 		}
 		pjobs[j] = placement.Job{ID: jobs[j].ID, Model: m}
 	}

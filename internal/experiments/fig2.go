@@ -28,13 +28,12 @@ func Fig2PowerOverload(env *Env) ([]Fig2Row, *trace.Table) {
 	var rows []Fig2Row
 	for _, pair := range Pairs() {
 		ls, be := pair.LS, pair.BE
-		node := sim.QuietNode(ls, be, env.Cfg.Seed)
 		budget := env.Budget(ls)
 		cfg := hw.Complement(env.Spec, JustEnough(ls.Name), env.Spec.FreqMax)
-		if err := node.Apply(cfg); err != nil {
+		st, err := sim.NewOracle(ls, be, 1, nil).Measure(cfg, 0.2*ls.PeakQPS)
+		if err != nil {
 			panic(err)
 		}
-		st := node.Step(1, 0.2*ls.PeakQPS)
 		r := Fig2Row{
 			LS: ls.Name, BE: be.Name,
 			BudgetW: float64(budget),

@@ -45,32 +45,38 @@ func Fig3PaperPairs(env *Env) ([]Fig3Row, *trace.Table) {
 	}
 	var rows []Fig3Row
 	for _, be := range workload.BEApps() {
-		solo := sim.SoloBEThroughput(env.Spec, sim.QuietNode(ls, be, 1).Bus, be)
+		o := sim.NewOracle(ls, be, 1, nil)
 		for _, pc := range cases {
-			measure := func(cfg hw.Config) float64 {
-				node := sim.QuietNode(ls, be, env.Cfg.Seed)
-				if err := node.Apply(cfg); err != nil {
-					return 0
-				}
-				return node.Step(1, pc.load*ls.PeakQPS).BEThroughputUPS / solo
-			}
-			r := Fig3Row{
-				LS: ls.Name, BE: be.Name, LoadFrac: pc.load,
-				CoreRich: pc.coreRich, FreqRich: pc.freqRich,
-				ThptCores: measure(pc.coreRich), ThptFreq: measure(pc.freqRich),
-			}
-			if r.ThptCores >= r.ThptFreq {
-				r.Winner = "cores"
-			} else {
-				r.Winner = "freq"
-			}
-			rows = append(rows, r)
-			tbl.Addf(ls.Name+"+"+be.Name, r.LoadFrac,
-				r.CoreRich.String(), r.ThptCores,
-				r.FreqRich.String(), r.ThptFreq, r.Winner)
+			rows = append(rows, fig3Row(tbl, env, o, ls, be, pc.load, pc.coreRich, pc.freqRich))
 		}
 	}
 	return rows, tbl
+}
+
+// fig3Row measures the two configurations on the ground-truth physics,
+// normalizes their BE throughput to the solo run and adds the row to tbl.
+func fig3Row(tbl *trace.Table, env *Env, o *sim.Oracle, ls, be workload.Profile, load float64, coreRich, freqRich hw.Config) Fig3Row {
+	solo := o.Throughput(hw.SoloBE(env.Spec).BE)
+	measure := func(cfg hw.Config) float64 {
+		st, err := o.Measure(cfg, load*ls.PeakQPS)
+		if err != nil {
+			return 0
+		}
+		return st.BEThroughputUPS / solo
+	}
+	r := Fig3Row{
+		LS: ls.Name, BE: be.Name, LoadFrac: load,
+		CoreRich: coreRich, FreqRich: freqRich,
+		ThptCores: measure(coreRich), ThptFreq: measure(freqRich),
+	}
+	r.Winner = "freq"
+	if r.ThptCores >= r.ThptFreq {
+		r.Winner = "cores"
+	}
+	tbl.Addf(ls.Name+"+"+be.Name, r.LoadFrac,
+		r.CoreRich.String(), r.ThptCores,
+		r.FreqRich.String(), r.ThptFreq, r.Winner)
+	return r
 }
 
 // Fig3FeasibleConfigs reproduces Fig. 3: for memcached co-located with
@@ -90,12 +96,11 @@ func Fig3FeasibleConfigs(env *Env) ([]Fig3Row, *trace.Table) {
 		// Fig. 3 is the paper's *motivation* measurement, taken on the
 		// real machine before any predictor exists — so the candidate
 		// frontier here is computed against ground-truth physics.
+		o := sim.NewOracle(ls, be, 1, nil)
 		s := &core.Searcher{
-			Spec: env.Spec, Pred: newPhysOracle(env.Spec, ls, be, env.Cfg.Seed),
-			Budget:       budget,
+			Spec: env.Spec, Pred: o, Budget: budget,
 			HeadroomWays: -1, HeadroomFreq: -1, PowerGuardFrac: 0.001,
 		}
-		solo := sim.SoloBEThroughput(env.Spec, sim.QuietNode(ls, be, 1).Bus, be)
 		for _, load := range []float64{0.20, 0.35} {
 			cands := s.Candidates(load * ls.PeakQPS)
 			if len(cands) < 2 {
@@ -117,27 +122,7 @@ func Fig3FeasibleConfigs(env *Env) ([]Fig3Row, *trace.Table) {
 					freqRich = c.Config
 				}
 			}
-			measure := func(cfg hw.Config) float64 {
-				node := sim.QuietNode(ls, be, env.Cfg.Seed)
-				if err := node.Apply(cfg); err != nil {
-					return 0
-				}
-				return node.Step(1, load*ls.PeakQPS).BEThroughputUPS / solo
-			}
-			r := Fig3Row{
-				LS: ls.Name, BE: be.Name, LoadFrac: load,
-				CoreRich: coreRich, FreqRich: freqRich,
-				ThptCores: measure(coreRich), ThptFreq: measure(freqRich),
-			}
-			if r.ThptCores >= r.ThptFreq {
-				r.Winner = "cores"
-			} else {
-				r.Winner = "freq"
-			}
-			rows = append(rows, r)
-			tbl.Addf(ls.Name+"+"+be.Name, r.LoadFrac,
-				r.CoreRich.String(), r.ThptCores,
-				r.FreqRich.String(), r.ThptFreq, r.Winner)
+			rows = append(rows, fig3Row(tbl, env, o, ls, be, load, coreRich, freqRich))
 		}
 	}
 	return rows, tbl

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"sturgeon/internal/cluster"
-	"sturgeon/internal/placement"
+	"sturgeon/internal/core"
 	"sturgeon/internal/trace"
 	"sturgeon/internal/workload"
 )
@@ -13,8 +13,8 @@ import (
 // (internal/placement, DESIGN.md §15) on the pinned flash-crowd
 // scenario: the same 12-node fleet with heterogeneous static caps and
 // the same eight BE jobs run three ways — a seeded random pairing, the
-// preference-aware solver steered by the closed-form Physics pair
-// model, and the same solver steered by predictors trained on profiling
+// preference-aware solver steered by the node's own steady-state
+// physics (sim.Oracle), and the same solver steered by predictors trained on profiling
 // sweeps (the paper's model path). Starved nodes shed BE frequency
 // first, so random pairing strands frequency-hungry applications where
 // the watts are not; both placed rows must show strictly higher fleet
@@ -43,7 +43,7 @@ func PlacementShowdown(env *Env) *trace.Table {
 		o := cluster.DefaultPlacementFleet(env.Cfg.Seed)
 		o.Placed = row.placed
 		if row.trained {
-			o.Models = func(ls, be workload.Profile) placement.PairModel {
+			o.Models = func(ls, be workload.Profile) core.Predictor {
 				return env.Predictor(ls, be)
 			}
 		}

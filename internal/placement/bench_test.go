@@ -3,15 +3,18 @@ package placement
 import (
 	"testing"
 
+	"sturgeon/internal/core"
 	"sturgeon/internal/hw"
+	"sturgeon/internal/queueing"
 	"sturgeon/internal/workload"
 )
 
 // warmScorer returns a scorer whose memo already holds the answer for
-// one (job model, QPS, 104 W cap) query, with that query's model and QPS.
-func warmScorer() (*Scorer, PairModel, float64) {
+// one (job predictor, QPS, 104 W cap) query, with that query's
+// predictor and QPS.
+func warmScorer() (*Scorer, core.Predictor, float64) {
 	sc := NewScorer(hw.DefaultSpec())
-	m := NewPhysics(workload.Memcached(), workload.Blackscholes())
+	m := physicsFor(workload.Blackscholes(), queueing.NewCache())
 	qps := 0.45 * workload.Memcached().PeakQPS
 	sc.Best(m, qps, 104)
 	return sc, m, qps
@@ -39,16 +42,15 @@ func BenchmarkScorerBest(b *testing.B) {
 }
 
 // BenchmarkScorerSweep measures a cold full-grid sweep (11×11 DVFS
-// pairs through the physics model).
+// pairs through the physics predictor, its latency cache warm): a fresh
+// scorer per iteration has an empty memo.
 func BenchmarkScorerSweep(b *testing.B) {
-	sc := NewScorer(hw.DefaultSpec())
-	m := NewPhysics(workload.Memcached(), workload.Blackscholes())
+	m := physicsFor(workload.Blackscholes(), queueing.NewCache())
 	qps := 0.45 * workload.Memcached().PeakQPS
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.InvalidateMemo()
-		sc.Best(m, qps, 104)
+		NewScorer(hw.DefaultSpec()).Best(m, qps, 104)
 	}
 }
 
@@ -56,7 +58,7 @@ func BenchmarkScorerSweep(b *testing.B) {
 // fleet-shaped matrix (6 jobs × 8 nodes).
 func BenchmarkSolve(b *testing.B) {
 	qps := 0.45 * workload.Memcached().PeakQPS
-	scores, _ := scoreMatrix(b, benchBEs, benchCaps, qps)
+	scores := scoreMatrix(b, benchBEs, benchCaps, qps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,18 +8,19 @@ import (
 	"sturgeon/internal/hw"
 	"sturgeon/internal/power"
 	"sturgeon/internal/queueing"
+	"sturgeon/internal/sim"
 	"sturgeon/internal/workload"
 )
 
-func physicsFor(t testing.TB, be workload.Profile) *Physics {
-	t.Helper()
-	m := NewPhysics(workload.Memcached(), be)
-	return m
+// physicsFor is the fleet's physics predictor for memcached next to be:
+// the node's steady state at the placement QoS margin.
+func physicsFor(be workload.Profile, lat *queueing.Cache) *sim.Oracle {
+	return sim.NewOracle(workload.Memcached(), be, 0.9, lat)
 }
 
 func TestPhysicsScorer(t *testing.T) {
 	sc := NewScorer(hw.DefaultSpec())
-	bs := physicsFor(t, workload.Blackscholes())
+	bs := physicsFor(workload.Blackscholes(), queueing.NewCache())
 	qps := 0.5 * workload.Memcached().PeakQPS
 
 	rich := sc.Best(bs, qps, 115)
@@ -47,7 +48,7 @@ func TestPhysicsScorer(t *testing.T) {
 }
 
 func TestPhysicsQoSMonotone(t *testing.T) {
-	m := physicsFor(t, workload.Blackscholes())
+	m := physicsFor(workload.Blackscholes(), nil)
 	ls := workload.Memcached()
 	a := hw.Alloc{Cores: 12, Freq: 2.2, LLCWays: 12}
 	if !m.QoSOK(a, 0.3*ls.PeakQPS) {
@@ -61,20 +62,18 @@ func TestPhysicsQoSMonotone(t *testing.T) {
 	}
 }
 
-// scoreMatrix builds a jobs×nodes matrix from Physics models over a
-// heterogeneous cap vector, the shape the fleet builder feeds Solve.
-func scoreMatrix(t testing.TB, bes []workload.Profile, caps []power.Watts, qps float64) ([][]float64, []*Physics) {
+// scoreMatrix builds a jobs×nodes matrix from physics predictors over
+// a heterogeneous cap vector, the shape the fleet builder feeds Solve.
+func scoreMatrix(t testing.TB, bes []workload.Profile, caps []power.Watts, qps float64) [][]float64 {
 	t.Helper()
 	sc := NewScorer(hw.DefaultSpec())
 	shared := queueing.NewCache()
-	ms := make([]*Physics, len(bes))
 	scores := make([][]float64, len(bes))
 	for j, be := range bes {
-		ms[j] = physicsFor(t, be)
-		ms[j].Latency = shared
+		m := physicsFor(be, shared)
 		scores[j] = make([]float64, len(caps))
 		for n, cap := range caps {
-			v := sc.Best(ms[j], qps, cap)
+			v := sc.Best(m, qps, cap)
 			if !v.Feasible {
 				scores[j][n] = Infeasible
 				continue
@@ -82,7 +81,7 @@ func scoreMatrix(t testing.TB, bes []workload.Profile, caps []power.Watts, qps f
 			scores[j][n] = v.UPS
 		}
 	}
-	return scores, ms
+	return scores
 }
 
 var benchBEs = []workload.Profile{
@@ -94,7 +93,7 @@ var benchCaps = []power.Watts{112, 88, 112, 88, 104, 90, 112, 86}
 
 func TestSolveBeatsRandom(t *testing.T) {
 	qps := 0.45 * workload.Memcached().PeakQPS
-	scores, _ := scoreMatrix(t, benchBEs, benchCaps, qps)
+	scores := scoreMatrix(t, benchBEs, benchCaps, qps)
 	got := Solve(scores, 1, 4)
 
 	rng := rand.New(rand.NewSource(7))
@@ -117,7 +116,7 @@ func TestSolveBeatsRandom(t *testing.T) {
 
 func TestSolveDeterministicAndConserving(t *testing.T) {
 	qps := 0.45 * workload.Memcached().PeakQPS
-	scores, _ := scoreMatrix(t, benchBEs, benchCaps, qps)
+	scores := scoreMatrix(t, benchBEs, benchCaps, qps)
 	base := Solve(scores, 42, 4)
 	for i := 0; i < 3; i++ {
 		if again := Solve(scores, 42, 4); !reflect.DeepEqual(again, base) {
@@ -195,9 +194,7 @@ func plannerFixture(t testing.TB, opt PlannerOptions) (*Planner, []NodeSnap) {
 	shared := queueing.NewCache()
 	jobs := make([]Job, 2)
 	for j, be := range []workload.Profile{workload.Blackscholes(), workload.Swaptions()} {
-		m := physicsFor(t, be)
-		m.Latency = shared
-		jobs[j] = Job{ID: be.Name, Model: m}
+		jobs[j] = Job{ID: be.Name, Model: physicsFor(be, shared)}
 	}
 	qps := 0.45 * workload.Memcached().PeakQPS
 	snaps := []NodeSnap{

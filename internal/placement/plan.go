@@ -3,14 +3,15 @@ package placement
 import (
 	"sort"
 
+	"sturgeon/internal/core"
 	"sturgeon/internal/power"
 )
 
 // Job is one BE application managed by the planner, with the pair
-// model predicting its behaviour next to the fleet's LS service.
+// predictor modelling its behaviour next to the fleet's LS service.
 type Job struct {
 	ID    string
-	Model PairModel
+	Model core.Predictor
 }
 
 // NodeSnap is the planner's per-node view at an epoch boundary,

@@ -3,11 +3,12 @@ package placement
 import (
 	"math"
 
+	"sturgeon/internal/core"
 	"sturgeon/internal/hw"
 	"sturgeon/internal/power"
 )
 
-// Score is the Scorer's verdict for one (pair model, load, cap) query.
+// Score is the Scorer's verdict for one (predictor, load, cap) query.
 type Score struct {
 	// UPS is the best predicted BE throughput over QoS-feasible,
 	// cap-respecting configurations (0 when none exists but the LS side
@@ -31,9 +32,10 @@ type Score struct {
 // enumerates LS×BE frequency pairs, keeping the prediction surface
 // aligned with the machine the plan runs on (see DESIGN.md §15).
 //
-// Queries are memoized on (model, load bits, cap bits): the planner
-// re-scores every node each epoch, but distinct (load, cap) points are
-// few on a quantized trace. Not safe for concurrent use.
+// Queries are memoized on (predictor, load bits, cap bits), so the
+// predictor's dynamic type must be comparable: the planner re-scores
+// every node each epoch, but distinct (load, cap) points are few on a
+// quantized trace. Not safe for concurrent use.
 type Scorer struct {
 	// Spec is the node geometry; LS and BE give the core/way template
 	// (frequencies in the templates are ignored).
@@ -45,7 +47,7 @@ type Scorer struct {
 }
 
 type scoreKey struct {
-	m    PairModel
+	m    core.Predictor
 	qps  uint64
 	capW uint64
 }
@@ -61,13 +63,13 @@ func NewScorer(spec hw.Spec) *Scorer {
 	}
 }
 
-// Best returns the scorer's verdict for pairing model m on a node with
+// Best returns the scorer's verdict for pairing predictor m on a node with
 // power cap capW at sustained load qps. The sweep is exact over the
 // frequency grid: for every QoS-feasible LS frequency it takes the
 // highest BE frequency whose predicted node power fits the cap, and
 // returns the configuration maximizing predicted BE throughput (ties
 // resolve to the lowest frequencies, making the result deterministic).
-func (s *Scorer) Best(m PairModel, qps float64, capW power.Watts) Score {
+func (s *Scorer) Best(m core.Predictor, qps float64, capW power.Watts) Score {
 	key := scoreKey{m: m, qps: math.Float64bits(qps), capW: math.Float64bits(float64(capW))}
 	if sc, ok := s.memo[key]; ok {
 		return sc
@@ -80,7 +82,7 @@ func (s *Scorer) Best(m PairModel, qps float64, capW power.Watts) Score {
 	return sc
 }
 
-func (s *Scorer) sweep(m PairModel, qps float64, capW power.Watts) Score {
+func (s *Scorer) sweep(m core.Predictor, qps float64, capW power.Watts) Score {
 	var out Score
 	levels := s.Spec.FreqLevels()
 	for _, lsF := range levels {
@@ -113,7 +115,3 @@ func (s *Scorer) sweep(m PairModel, qps float64, capW power.Watts) Score {
 	}
 	return out
 }
-
-// InvalidateMemo drops every memoized verdict — call after mutating a
-// model in place.
-func (s *Scorer) InvalidateMemo() { s.memo = nil }

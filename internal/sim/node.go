@@ -463,32 +463,3 @@ func (n *Node) Backlog() float64 { return n.pair[0].Backlog }
 // where each measured configuration must start from a drained service
 // (the paper's offline sweeps restart the load generator per point).
 func (n *Node) ResetQueue() { n.pair[0].Backlog = 0 }
-
-// SoloBEThroughput returns the BE application's throughput running alone
-// on the whole machine at maximum frequency — the normalization basis of
-// Fig. 10.
-func SoloBEThroughput(spec hw.Spec, bus cache.MemBus, be workload.Profile) float64 {
-	alloc := hw.SoloBE(spec).BE
-	var st workload.BEState
-	bus.Settle(func(c float64) float64 {
-		st = be.BERate(alloc, c)
-		return st.BandwidthGBs
-	})
-	return st.ThroughputUPS
-}
-
-// LSPeakPower returns the node's power draw with the LS service running
-// alone at peak load on all resources at maximum frequency — the paper's
-// power-budget definition (§III-B).
-func LSPeakPower(spec hw.Spec, params power.Params, bus cache.MemBus, ls workload.Profile) power.Watts {
-	alloc := hw.SoloLS(spec).LS
-	var st workload.LSState
-	bus.Settle(func(c float64) float64 {
-		st = ls.LSRate(alloc, ls.PeakQPS, c)
-		return st.BandwidthGBs
-	})
-	loads := []power.CoreLoad{
-		{Cores: alloc.Cores, Freq: alloc.Freq, Util: st.Util, Activity: ls.Activity},
-	}
-	return params.Total(loads, spec.LLCWays, spec.LLCWays, bus.Achieved(st.BandwidthGBs))
-}
