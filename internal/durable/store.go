@@ -93,9 +93,6 @@ func Open(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// Dir returns the state directory the store operates in.
-func (s *FileStore) Dir() string { return s.dir }
-
 // openLog opens (creating if absent) the current generation's record
 // log for appending, truncating any torn tail left by a crash.
 func (s *FileStore) openLog() error {

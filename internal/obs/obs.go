@@ -173,9 +173,6 @@ func (s *Sink) SetSpanContext(ref SpanRef) {
 	s.spanCtx = ref
 }
 
-// Tracing reports whether the sink records spans.
-func (s *Sink) Tracing() bool { return s != nil && s.Trace != nil }
-
 // Series resolves a timeline series from the sink's recorder
 // (nil-safe; the returned handle no-ops when nil).
 func (s *Sink) Series(name string) *TSeries {
