@@ -14,15 +14,16 @@ import (
 // scenario: the same 12-node fleet with heterogeneous static caps and
 // the same eight BE jobs run three ways — a seeded random pairing, the
 // preference-aware solver steered by the node's own steady-state
-// physics (sim.Oracle), and the same solver steered by predictors trained on profiling
-// sweeps (the paper's model path). Starved nodes shed BE frequency
-// first, so random pairing strands frequency-hungry applications where
-// the watts are not; both placed rows must show strictly higher fleet
-// BE throughput at equal-or-better QoS, with the migration planner
+// physics (sim.Oracle), and the same solver steered by predictors
+// trained on profiling sweeps (the paper's model path). Starved nodes
+// shed BE frequency first, so random pairing strands frequency-hungry
+// applications where the watts are not; both placed rows should show
+// strictly higher fleet BE throughput at equal-or-better QoS (the
+// cluster tests assert it at seed 20260806), with the migration planner
 // paying warm-up penalties for every mid-run move the rotating hot spot
-// forces. Quick mode skips the trained row — sweeping and fitting six
-// pair models is the expensive half — and keeps the physics-steered
-// comparison.
+// forces. Quick mode skips the trained row — sweeping
+// and fitting six pair models is the expensive half — and keeps the
+// physics-steered comparison.
 func PlacementShowdown(env *Env) *trace.Table {
 	tbl := trace.NewTable(
 		fmt.Sprintf("Fleet placement vs random pairing (12 nodes, seed %d)", env.Cfg.Seed),
