@@ -62,17 +62,18 @@ func TestOutputFailureIsReturned(t *testing.T) {
 	}
 }
 
-// TestFiguresMatchCommittedResults regenerates Fig. 2 and Fig. 3 at the
-// default scale and seed and requires every table to equal, byte for
-// byte, the copy committed under results/.
+// TestFiguresMatchCommittedResults regenerates Fig. 2, Fig. 3 and the
+// coordinator extension table at the default scale and seed and
+// requires every table to equal, byte for byte, the copy committed
+// under results/.
 func TestFiguresMatchCommittedResults(t *testing.T) {
 	dir := t.TempDir()
-	for _, exp := range []string{"fig2", "fig3"} {
+	for _, exp := range []string{"fig2", "fig3", "coord"} {
 		if err := run([]string{"-exp", exp, "-out", dir}, io.Discard); err != nil {
 			t.Fatalf("-exp %s: %v", exp, err)
 		}
 	}
-	for _, name := range []string{"fig2.csv", "fig3_paper_pairs.csv", "fig3_frontier.csv"} {
+	for _, name := range []string{"fig2.csv", "fig3_paper_pairs.csv", "fig3_frontier.csv", "extension_coordinator.csv"} {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
