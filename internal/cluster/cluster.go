@@ -222,20 +222,20 @@ type Coordination struct {
 	Transport coordinator.Transport
 	// EpochS is the reporting period in intervals (default 10).
 	EpochS int
-	// Chaos optionally schedules dropped reports and coordinator outage
-	// windows, exercising the last-granted-cap fallback.
-	Chaos *coordinator.ChaosPlan
 	// Kill optionally schedules deterministic coordinator crash windows:
 	// every epoch inside a window is lost whole (nodes keep their
 	// last-granted caps), and at the first epoch past a window Restart is
 	// invoked to stand a recovered coordinator back up before grants
-	// resume. Unlike a Chaos outage, a kill destroys the coordinator's
-	// in-memory state — what survives is whatever Restart can recover.
+	// resume. Unlike a report-direction partition of every node (which
+	// the coordinator merely fails to hear), a kill destroys the
+	// coordinator's in-memory state — what survives is whatever Restart
+	// can recover.
 	Kill *faults.CoordKillPlan
 	// Restart builds the replacement transport when a kill window ends —
 	// the simulated restart-from-state-dir (coordinator.Recover against
 	// the store the dead coordinator was persisting into). Nil, or an
-	// erroring Restart, keeps the coordinator down for the epoch.
+	// erroring Restart, keeps the coordinator down, and the restart is
+	// retried every epoch until one succeeds.
 	Restart func() (coordinator.Transport, coordinator.RecoveryInfo, error)
 	// RatchetSteps is the degraded-mode descent length in governor
 	// intervals (simulated seconds): a node whose lease renewals stop
@@ -244,6 +244,14 @@ type Coordination struct {
 	// (default control.DefaultRatchetSteps). Only read once the
 	// coordinator's grants carry leases (coordinator.Options.LeaseEpochs).
 	RatchetSteps int
+
+	// net is the network-fault wrapper BuildCoordFleet put around the
+	// transport (nil without one); finish reads its tallies. It is held
+	// here rather than found by asserting Transport's type, so a caller
+	// may decorate the transport without hiding the tallies.
+	net *coordinator.NetChaos
+	// restartDue marks a coordinator still down after a failed restart.
+	restartDue bool
 }
 
 func (c *Coordination) epochS() int {
@@ -255,13 +263,12 @@ func (c *Coordination) epochS() int {
 
 // CoordStats tallies the grant loop's activity over a run.
 type CoordStats struct {
-	// Epochs counts reporting rounds attempted; OutageEpochs those lost
-	// whole to a coordinator outage.
-	Epochs, OutageEpochs int
-	// DroppedReports counts per-node submissions lost in transit;
-	// Fallbacks counts node-epochs that kept the last-granted cap
-	// because no fresh grant arrived (drop, outage, crash or transport
-	// error).
+	// Epochs counts reporting rounds attempted.
+	Epochs int
+	// DroppedReports counts per-node submissions that never reached the
+	// coordinator (Net.PartitionedOut); Fallbacks counts node-epochs
+	// that kept the last-granted cap because no fresh grant arrived
+	// (lost report or grant, crash or transport error).
 	DroppedReports, Fallbacks int
 	// CrashEpochs counts epochs lost to a coordinator kill window;
 	// Recoveries counts successful restarts from durable state.
@@ -616,9 +623,8 @@ func (r Result) Summary() string {
 		r.Health.Evictions, r.Health.Readmissions, r.Health.UnhealthyNodeIntervals)
 	fmt.Fprintf(&b, "faults %s\n", r.Faults)
 	if r.Coordinated {
-		fmt.Fprintf(&b, "coord epochs %d drops %d outages %d fallbacks %d moved_w %.2f\n",
-			r.Coord.Epochs, r.Coord.DroppedReports, r.Coord.OutageEpochs,
-			r.Coord.Fallbacks, r.Coord.MovedW)
+		fmt.Fprintf(&b, "coord epochs %d fallbacks %d moved_w %.2f\n",
+			r.Coord.Epochs, r.Coord.Fallbacks, r.Coord.MovedW)
 		if r.Coord.CrashEpochs+r.Coord.Recoveries > 0 {
 			fmt.Fprintf(&b, "coord_crash epochs %d recoveries %d\n",
 				r.Coord.CrashEpochs, r.Coord.Recoveries)
@@ -629,8 +635,8 @@ func (r Result) Summary() string {
 				r.Coord.StaleGrantRejects, r.Coord.LeaseRatchetW)
 		}
 		if r.Coord.Net != (coordinator.NetStats{}) {
-			fmt.Fprintf(&b, "coord_net part_out %d part_in %d dropped %d delayed %d late %d dup %d reorder %d\n",
-				r.Coord.Net.PartitionedOut, r.Coord.Net.PartitionedIn, r.Coord.Net.Dropped,
+			fmt.Fprintf(&b, "coord_net part_out %d part_in %d delayed %d late %d dup %d reorder %d\n",
+				r.Coord.Net.PartitionedOut, r.Coord.Net.PartitionedIn,
 				r.Coord.Net.Delayed, r.Coord.Net.DeliveredLate, r.Coord.Net.Duplicated,
 				r.Coord.Net.Reordered)
 		}
@@ -908,10 +914,9 @@ func (c *Cluster) finish(res *Result, wOK, wQ, sumBE, sumPW float64, durationS i
 		res.Placed = true
 		res.Place.Jobs = len(c.Place.Jobs)
 	}
-	if res.Coordinated {
-		if nc, ok := c.Coord.Transport.(*coordinator.NetChaos); ok {
-			res.Coord.Net = nc.Stats()
-		}
+	if res.Coordinated && c.Coord.net != nil {
+		res.Coord.Net = c.Coord.net.Stats()
+		res.Coord.DroppedReports = res.Coord.Net.PartitionedOut
 	}
 
 	if wQ > 0 {
@@ -928,21 +933,28 @@ func (c *Cluster) finish(res *Result, wOK, wQ, sumBE, sumPW float64, durationS i
 	}
 }
 
-// restartCoordinator runs the Coordination's Restart hook, normalizing
-// a nil hook or a nil transport into an error so exchangeGrants has one
-// failure path.
-func restartCoordinator(cd *Coordination) (coordinator.Transport, coordinator.RecoveryInfo, error) {
+// restartCoordinator runs the Coordination's Restart hook and, on
+// success, swaps in the recovered transport and records the recovery.
+// A nil hook, an error or a nil transport leaves the coordinator down.
+// It reports whether the coordinator is back up.
+func (c *Cluster) restartCoordinator(epoch int, res *Result) bool {
+	cd := c.Coord
 	if cd.Restart == nil {
-		return nil, coordinator.RecoveryInfo{}, fmt.Errorf("cluster: coordinator kill scheduled without a Restart hook")
+		return false
 	}
 	tr, info, err := cd.Restart()
-	if err != nil {
-		return nil, info, err
+	if err != nil || tr == nil {
+		return false
 	}
-	if tr == nil {
-		return nil, info, fmt.Errorf("cluster: Restart returned no transport")
+	cd.Transport = tr
+	res.Coord.Recoveries++
+	if c.obs != nil {
+		c.recoveryCtr.Inc()
+		c.obs.Emit(obs.Event{T: float64(epoch * cd.epochS()),
+			Type: obs.EventRecoveryCompleted, Reason: info.Reason,
+			Epoch: epoch, Value: float64(info.ReplayedReports)})
 	}
-	return tr, info, nil
+	return true
 }
 
 // drainNode moves node i's staged decision events and spans onto the
@@ -973,51 +985,36 @@ func (c *Cluster) drainNode(i int, t float64, wasHealthy, healthy bool) {
 
 // exchangeGrants runs one coordination epoch: build each node's report
 // from its latest interval, submit through the transport, and apply the
-// granted caps. Any node whose report is lost (chaos drop), whose epoch
-// falls in a coordinator outage window, or whose submission errors keeps
-// its last-granted cap — the degradation contract of DESIGN.md §10.
+// granted caps. Any node whose epoch falls in a coordinator kill window,
+// or whose submission errors (a network-fault wrapper severing it
+// included), keeps its last-granted cap — the degradation contract of
+// DESIGN.md §10.
 func (c *Cluster) exchangeGrants(epoch int, states []NodeState, res *Result) {
 	res.Coordinated = true
 	res.Coord.Epochs++
 	cd := c.Coord
 	tEpoch := float64(epoch * cd.epochS())
 	// Coordinator kill windows come before everything else: a crashed
-	// coordinator can neither serve grants nor suffer a mere network
-	// outage. Restart fires on the first epoch past a window, standing a
-	// recovered coordinator up *before* this epoch's reports go out — the
-	// restarted control plane serves the same epoch it recovered in.
+	// coordinator can neither serve grants nor hear reports. Restart
+	// fires on the first epoch past a window, standing a recovered
+	// coordinator up *before* this epoch's reports go out — the restarted
+	// control plane serves the same epoch it recovered in. A failed
+	// restart leaves the coordinator down and is retried next epoch; the
+	// pre-kill transport is never used again.
 	if cd.Kill != nil {
-		if cd.Kill.DownAt(epoch) {
+		down := cd.Kill.DownAt(epoch)
+		if !down && (cd.restartDue || cd.Kill.RestartAt(epoch)) {
+			down = !c.restartCoordinator(epoch, res)
+			cd.restartDue = down
+		}
+		if down {
 			res.Coord.CrashEpochs++
 			res.Coord.Fallbacks += len(c.Nodes)
-			c.leaseMissAll(tEpoch, epoch, res)
+			for i := range c.leases {
+				c.leaseMiss(i, tEpoch, epoch, res)
+			}
 			return
 		}
-		if cd.Kill.RestartAt(epoch) {
-			tr, info, err := restartCoordinator(cd)
-			if err != nil {
-				// Recovery failed (or no Restart wired): the coordinator
-				// stays down this epoch; nodes keep their last-granted caps.
-				res.Coord.CrashEpochs++
-				res.Coord.Fallbacks += len(c.Nodes)
-				c.leaseMissAll(tEpoch, epoch, res)
-				return
-			}
-			cd.Transport = tr
-			res.Coord.Recoveries++
-			if c.obs != nil {
-				c.recoveryCtr.Inc()
-				c.obs.Emit(obs.Event{T: float64(epoch * cd.epochS()),
-					Type: obs.EventRecoveryCompleted, Reason: info.Reason,
-					Epoch: epoch, Value: float64(info.ReplayedReports)})
-			}
-		}
-	}
-	if cd.Chaos.Outage(epoch) {
-		res.Coord.OutageEpochs++
-		res.Coord.Fallbacks += len(c.Nodes)
-		c.leaseMissAll(tEpoch, epoch, res)
-		return
 	}
 	// The epoch-close span roots this epoch's causal chain; every cap
 	// change that lands below links back to it, and the receiving node's
@@ -1027,12 +1024,6 @@ func (c *Cluster) exchangeGrants(epoch int, states []NodeState, res *Result) {
 		Start: tEpoch, End: tEpoch, Epoch: epoch}, obs.SpanRef{})
 	target := c.LS.QoSTargetS
 	for i := range c.Nodes {
-		if cd.Chaos.Dropped(epoch, i) {
-			res.Coord.DroppedReports++
-			res.Coord.Fallbacks++
-			c.leaseMiss(i, tEpoch, epoch, res)
-			continue
-		}
 		last := states[i].Last
 		p95 := last.P95
 		if math.IsNaN(p95) || math.IsInf(p95, 0) || target <= 0 {
@@ -1106,8 +1097,8 @@ func (c *Cluster) exchangeGrants(epoch int, states []NodeState, res *Result) {
 	}
 	// Ground truth for the invariant harness: the status fetch is
 	// out-of-band observation, not node traffic (NetChaos passes it
-	// through), and is skipped whole on killed/outage epochs above — a
-	// down coordinator answers nothing.
+	// through), and is skipped whole on killed epochs above — a down
+	// coordinator answers nothing.
 	if c.Invariants != nil {
 		if st, err := cd.Transport.Status(context.Background()); err == nil {
 			c.Invariants.ObserveStatus(tEpoch, st)
@@ -1147,14 +1138,6 @@ func (c *Cluster) leaseMiss(i int, t float64, epoch int, res *Result) {
 			c.obs.Emit(obs.Event{T: t, Node: NodeID(i), Type: obs.EventDegradedEnter,
 				Epoch: epoch, Value: float64(c.caps[i])})
 		}
-	}
-}
-
-// leaseMissAll records a missed renewal for every node — the whole-fleet
-// failure modes (coordinator kill, outage window).
-func (c *Cluster) leaseMissAll(t float64, epoch int, res *Result) {
-	for i := range c.leases {
-		c.leaseMiss(i, t, epoch, res)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 
 	"sturgeon/internal/control"
 	"sturgeon/internal/coordinator"
@@ -40,13 +41,14 @@ type CoordFleetOptions struct {
 	LoadLo    float64
 	LoadHi    float64
 	DurationS int
-	// Seed drives node physics (and the chaos plan, when enabled).
+	// Seed drives node physics (and the chaos schedule, when enabled).
 	Seed int64
 	// Coordinated arbitrates caps through an in-process coordinator;
 	// false runs the even-split baseline (same fleet, static caps).
 	Coordinated bool
-	// Chaos adds the coordinator-path fault plan (dropped reports and
-	// coordinator outages, coordinator.DefaultChaosSpec).
+	// Chaos wraps the transport in the pinned control-plane chaos
+	// schedule (chaosWindows): dropped reports and whole-fleet report
+	// outages.
 	Chaos bool
 	// CrashRestart kills the coordinator for a six-epoch window centered
 	// mid-run and restarts it from its durable state: the coordinator
@@ -67,8 +69,8 @@ type CoordFleetOptions struct {
 	// leased-beats-cliff win gate compares against.
 	Partition bool
 	// Net, when non-nil, wraps the transport in this network-fault plan
-	// instead of the pinned Partition windows — the chaos battery's
-	// randomized schedules. Mutually exclusive with Partition.
+	// instead of the pinned windows — the chaos battery's randomized
+	// schedules. Mutually exclusive with Chaos and Partition.
 	Net *faults.NetPlan
 }
 
@@ -124,13 +126,50 @@ func PartitionWindows(epochs, nodes int) []faults.NetWindow {
 	return out
 }
 
+// The pinned control-plane chaos profile: a 10 % per-(node, epoch)
+// report loss rate and two 3-epoch whole-fleet report outages.
+const (
+	chaosDropRate     = 0.1
+	chaosOutages      = 2
+	chaosOutageEpochs = 3
+)
+
+// chaosWindows is the pinned control-plane chaos schedule, drawn from
+// seed: each node's report is lost with probability chaosDropRate in
+// each epoch (a one-epoch report-direction window), and chaosOutages
+// whole-fleet outages of chaosOutageEpochs epochs each sever every
+// node's report direction. During an outage the coordinator hears
+// nothing; its stale and lease clocks move only when reports resume.
+func chaosWindows(seed int64, epochs, nodes int) []faults.NetWindow {
+	rng := rand.New(rand.NewSource(seed))
+	var ws []faults.NetWindow
+	for e := 1; e <= epochs; e++ {
+		for n := 0; n < nodes; n++ {
+			if rng.Float64() < chaosDropRate {
+				ws = append(ws, faults.NetWindow{Node: n, Dir: faults.DirReport, Start: e, End: e + 1})
+			}
+		}
+	}
+	for i := 0; i < chaosOutages && epochs > 1; i++ {
+		start := 1 + rng.Intn(epochs)
+		for n := 0; n < nodes; n++ {
+			ws = append(ws, faults.NetWindow{Node: n, Dir: faults.DirReport,
+				Start: start, End: start + chaosOutageEpochs})
+		}
+	}
+	return ws
+}
+
 // BuildCoordFleet materializes the scenario: a memcached+raytrace fleet
 // of governor-managed nodes on the skewed dispatch, optionally wired to
-// an in-process coordinator (with its chaos plan). Run it with
-// c.Run(o.Trace(), o.DurationS).
+// an in-process coordinator behind its network-fault schedule, if any.
+// Run it with c.Run(o.Trace(), o.DurationS).
 func BuildCoordFleet(o CoordFleetOptions) (*Cluster, error) {
 	if o.Nodes <= 0 || o.EvenCapW <= 0 || o.DurationS <= 0 || o.EpochS <= 0 {
 		return nil, fmt.Errorf("cluster: coord fleet needs positive nodes, cap, duration and epoch")
+	}
+	if o.Net != nil && (o.Chaos || o.Partition) {
+		return nil, fmt.Errorf("cluster: coord fleet Net excludes Chaos and Partition")
 	}
 	ls, be := workload.Memcached(), workload.Raytrace()
 	c, err := New(o.Nodes, ls, be, power.Watts(o.EvenCapW),
@@ -170,10 +209,7 @@ func BuildCoordFleet(o CoordFleetOptions) (*Cluster, error) {
 		return nil, err
 	}
 	cd := &Coordination{Transport: &coordinator.Local{C: co}, EpochS: o.EpochS}
-	if o.Chaos {
-		cd.Chaos = coordinator.NewChaos(coordinator.DefaultChaosSpec(), o.Seed+1,
-			o.DurationS/o.EpochS, o.Nodes)
-	}
+	epochs := o.DurationS / o.EpochS
 	if o.CrashRestart {
 		// Snapshot cadence of ~3 fleet rounds: the kill lands between
 		// snapshots, so recovery exercises snapshot + log replay, not just
@@ -182,7 +218,6 @@ func BuildCoordFleet(o CoordFleetOptions) (*Cluster, error) {
 		snapEvery := 3 * o.Nodes
 		cd.Transport = &coordinator.DurableLocal{C: co,
 			P: &coordinator.Persist{Store: store, SnapshotEvery: snapEvery}}
-		epochs := o.DurationS / o.EpochS
 		mid := epochs / 2
 		cd.Kill = faults.ManualCoordKill(epochs,
 			faults.CoordKillWindow{Start: mid, End: mid + 6})
@@ -196,9 +231,15 @@ func BuildCoordFleet(o CoordFleetOptions) (*Cluster, error) {
 		}
 	}
 	plan := o.Net
-	if plan == nil && o.Partition {
-		epochs := o.DurationS / o.EpochS
-		plan = faults.ManualNet(epochs, o.Nodes, PartitionWindows(epochs, o.Nodes)...)
+	var ws []faults.NetWindow
+	if o.Chaos {
+		ws = chaosWindows(o.Seed+1, epochs, o.Nodes)
+	}
+	if o.Partition {
+		ws = append(ws, PartitionWindows(epochs, o.Nodes)...)
+	}
+	if len(ws) > 0 {
+		plan = faults.ManualNet(epochs, o.Nodes, ws...)
 	}
 	if plan != nil {
 		// The chaos wrapper survives coordinator restarts: a kill replaces
@@ -206,7 +247,7 @@ func BuildCoordFleet(o CoordFleetOptions) (*Cluster, error) {
 		// so the recovered coordinator sits behind the same schedule and
 		// the same running tallies.
 		nc := &coordinator.NetChaos{Inner: cd.Transport, Plan: plan}
-		cd.Transport = nc
+		cd.Transport, cd.net = nc, nc
 		if prev := cd.Restart; prev != nil {
 			cd.Restart = func() (coordinator.Transport, coordinator.RecoveryInfo, error) {
 				tr, info, err := prev()

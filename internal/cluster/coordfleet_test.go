@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sturgeon/internal/control"
 	"sturgeon/internal/coordinator"
+	"sturgeon/internal/faults"
 	"sturgeon/internal/hw"
 	"sturgeon/internal/obs"
 	"sturgeon/internal/power"
@@ -119,9 +121,11 @@ func TestCoordinationFallsBackOnTransportError(t *testing.T) {
 	}
 }
 
-// TestCoordinationChaosAccounting cross-checks the run's drop/outage
-// tallies against an independently rebuilt copy of the same chaos plan —
-// the counters must be a pure function of (spec, seed, horizon).
+// TestCoordinationChaosAccounting cross-checks the run's lost-report
+// tally against an independent count of the (epoch, node) pairs the
+// rebuilt chaos windows cover — the counters must be a pure function of
+// (seed, horizon). No node faults are injected, so every node submits
+// every epoch and each covered pair is exactly one severed report.
 func TestCoordinationChaosAccounting(t *testing.T) {
 	o := DefaultCoordFleet(11)
 	o.Coordinated = true
@@ -134,31 +138,93 @@ func TestCoordinationChaosAccounting(t *testing.T) {
 	res := c.Run(o.Trace(), o.DurationS)
 
 	epochs := o.DurationS / o.EpochS
-	plan := coordinator.NewChaos(coordinator.DefaultChaosSpec(), o.Seed+1, epochs, o.Nodes)
-	wantOutages, wantDrops := 0, 0
-	for e := 1; e <= epochs; e++ {
-		if plan.Outage(e) {
-			wantOutages++
-			continue // drops inside an outage window are not separately counted
-		}
-		for n := 0; n < o.Nodes; n++ {
-			if plan.Dropped(e, n) {
-				wantDrops++
-			}
+	covered := map[[2]int]bool{}
+	for _, w := range chaosWindows(o.Seed+1, epochs, o.Nodes) {
+		for e := w.Start; e < w.End && e <= epochs; e++ {
+			covered[[2]int{e, w.Node}] = true
 		}
 	}
+	want := len(covered)
 	if res.Coord.Epochs != epochs {
 		t.Errorf("epochs %d, want %d", res.Coord.Epochs, epochs)
 	}
-	if res.Coord.OutageEpochs != wantOutages {
-		t.Errorf("outage epochs %d, want %d", res.Coord.OutageEpochs, wantOutages)
+	if res.Coord.Net.PartitionedOut != want || res.Coord.DroppedReports != want {
+		t.Errorf("partitioned-out %d, dropped reports %d, want %d",
+			res.Coord.Net.PartitionedOut, res.Coord.DroppedReports, want)
 	}
-	if res.Coord.DroppedReports != wantDrops {
-		t.Errorf("dropped reports %d, want %d", res.Coord.DroppedReports, wantDrops)
+	if res.Coord.Fallbacks < want {
+		t.Errorf("fallbacks %d below the chaos floor %d", res.Coord.Fallbacks, want)
 	}
-	if res.Coord.Fallbacks < wantDrops+wantOutages*o.Nodes {
-		t.Errorf("fallbacks %d below the chaos floor %d",
-			res.Coord.Fallbacks, wantDrops+wantOutages*o.Nodes)
+}
+
+// TestChaosWindowsAreDeterministic: the chaos schedule is a pure
+// function of its seed, and another seed draws another schedule
+// (overwhelmingly likely at 10 % drops over 96×8 slots).
+func TestChaosWindowsAreDeterministic(t *testing.T) {
+	a, b := chaosWindows(42, 96, 8), chaosWindows(42, 96, 8)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("seed 42 drew two different chaos schedules")
+	}
+	if reflect.DeepEqual(a, chaosWindows(43, 96, 8)) {
+		t.Error("seeds 42 and 43 drew identical chaos schedules")
+	}
+}
+
+// TestChaosWindowsShape: drops are one-epoch report windows at about
+// the pinned rate, and both outages sever every node's report direction
+// for 3 epochs, clamped at the horizon once the plan is built.
+func TestChaosWindowsShape(t *testing.T) {
+	const nodes = 8
+	clamped := false
+	for _, tc := range []struct {
+		seed   int64
+		epochs int
+	}{{7, 96}, {11, 96}, {1, 4}, {2, 4}, {3, 4}} {
+		ws := chaosWindows(tc.seed, tc.epochs, nodes)
+		plan := faults.ManualNet(tc.epochs, nodes, ws...)
+		drops, outages := 0, 0
+		for _, w := range ws {
+			if w.Dir != faults.DirReport {
+				t.Fatalf("seed %d: window %+v severs the grant direction", tc.seed, w)
+			}
+			switch w.End - w.Start {
+			case 1:
+				drops++
+				continue
+			case 3:
+				outages++
+			default:
+				t.Fatalf("seed %d: window %+v is neither a drop nor an outage", tc.seed, w)
+			}
+			if w.Node != 0 {
+				continue
+			}
+			end := min(w.Start+3, tc.epochs+1)
+			clamped = clamped || end < w.Start+3
+			for e := w.Start; e < end; e++ {
+				for n := 0; n < nodes; n++ {
+					if !plan.PartitionedOut(e, n) {
+						t.Errorf("seed %d: outage from epoch %d misses node %d at epoch %d",
+							tc.seed, w.Start, n, e)
+					}
+				}
+			}
+		}
+		if outages != 2*nodes {
+			t.Errorf("seed %d: %d outage windows, want 2 outages × %d nodes", tc.seed, outages, nodes)
+		}
+		for n := 0; n < nodes; n++ {
+			if plan.PartitionedOut(tc.epochs+1, n) {
+				t.Errorf("seed %d: node %d severed past the horizon", tc.seed, n)
+			}
+		}
+		// 10 % of 96×8 ≈ 77 expected drops; a wide deterministic band.
+		if tc.epochs == 96 && (drops < 30 || drops > 150) {
+			t.Errorf("seed %d: %d drops outside the plausible band for a 10 %% rate", tc.seed, drops)
+		}
+	}
+	if !clamped {
+		t.Error("no outage reached the horizon; the clamp went unchecked")
 	}
 }
 
@@ -196,8 +262,8 @@ func coordGoldenScenarioCluster(t *testing.T, parallelism int, sink *obs.Sink) (
 // TestCoordinationBeatsEvenSplit is the coordinator's reason to exist:
 // on the pinned diurnal fleet, arbitrated caps must buy strictly more
 // best-effort throughput than the static even split of the same budget,
-// at an equal-or-better QoS rate, even while the coordinator chaos plan
-// drops reports and takes the coordinator down.
+// at an equal-or-better QoS rate, even while the chaos schedule drops
+// reports and cuts every node off from the coordinator for whole epochs.
 func TestCoordinationBeatsEvenSplit(t *testing.T) {
 	o := DefaultCoordFleet(20260806)
 	c, err := BuildCoordFleet(o)

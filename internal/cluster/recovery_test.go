@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sturgeon/internal/coordinator"
 	"sturgeon/internal/obs"
 	"sturgeon/internal/workload"
 )
@@ -190,5 +192,57 @@ func TestCoordCrashRecoveryMatchesUnkilledGrants(t *testing.T) {
 			t.Fatalf("post-recovery grant at epoch %d below pre-crash epoch %d: recovery rewound time",
 				ev.Epoch, maxBefore)
 		}
+	}
+}
+
+// TestCoordFailedRestartStaysDown: a coordinator whose restart fails
+// stays down — retried every epoch — until a restart succeeds. It must
+// never fall back to the transport it had before the kill, whose
+// in-memory coordinator never died.
+func TestCoordFailedRestartStaysDown(t *testing.T) {
+	const killStart = 48 // the crash fleet's window is epochs [48, 54)
+	for _, tc := range []struct {
+		name          string
+		failures      int // restarts that fail before one succeeds; <0 = all
+		crashEpochs   int
+		recoveryEpoch int // 0 = never recovers
+	}{
+		{"fails-twice", 2, 8, 56},
+		{"always-fails", -1, 96 - killStart + 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := obs.New(0)
+			c, tr, duration := crashGoldenScenarioCluster(t, 1, sink)
+			restart, calls := c.Coord.Restart, 0
+			c.Coord.Restart = func() (coordinator.Transport, coordinator.RecoveryInfo, error) {
+				calls++
+				if tc.failures < 0 || calls <= tc.failures {
+					return nil, coordinator.RecoveryInfo{}, errors.New("state dir unreadable")
+				}
+				return restart()
+			}
+			res := c.Run(tr, duration)
+			wantRecoveries := 0
+			if tc.recoveryEpoch > 0 {
+				wantRecoveries = 1
+			}
+			if res.Coord.CrashEpochs != tc.crashEpochs || res.Coord.Recoveries != wantRecoveries {
+				t.Errorf("crash epochs %d recoveries %d, want %d and %d",
+					res.Coord.CrashEpochs, res.Coord.Recoveries, tc.crashEpochs, wantRecoveries)
+			}
+			recovered := 0
+			for _, ev := range sink.Journal.Since(0) {
+				switch {
+				case ev.Type == obs.EventRecoveryCompleted:
+					recovered = ev.Epoch
+				case ev.Type == obs.EventCapGranted && ev.Epoch >= killStart &&
+					(tc.recoveryEpoch == 0 || ev.Epoch < tc.recoveryEpoch):
+					t.Fatalf("grant at epoch %d while the coordinator was down", ev.Epoch)
+				}
+			}
+			if recovered != tc.recoveryEpoch {
+				t.Errorf("recovery at epoch %d, want %d", recovered, tc.recoveryEpoch)
+			}
+		})
 	}
 }

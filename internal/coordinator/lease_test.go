@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -293,6 +294,8 @@ func netPlanFor(t *testing.T, epochs, nodes int, kind string, seed int64) *fault
 	case "partition-in":
 		return faults.ManualNet(epochs, nodes,
 			faults.NetWindow{Node: 0, Dir: faults.DirGrant, Start: 1, End: epochs + 1})
+	case "drop-delay-all":
+		return faults.NewNet(faults.NetSpec{DropRate: 1, DelayRate: 1}, seed, epochs, nodes)
 	case "delay-all":
 		return faults.NewNet(faults.NetSpec{DelayRate: 1, ReorderRate: 1}, seed, epochs, nodes)
 	case "dup-all":
@@ -304,7 +307,10 @@ func netPlanFor(t *testing.T, epochs, nodes int, kind string, seed int64) *fault
 
 // TestNetChaosFateOrder scripts each message fate through a NetChaos-
 // wrapped Local transport and checks both the caller-visible outcome
-// and the coordinator-side ground truth.
+// and the coordinator-side ground truth. The fates are considered in
+// the order flush-delayed → partitioned-out → delayed → deliver →
+// duplicated → partitioned-in; a dropped report is a partitioned-out
+// one.
 func TestNetChaosFateOrder(t *testing.T) {
 	t.Run("partition-out", func(t *testing.T) {
 		c := newTest(t, leasedOpt())
@@ -318,6 +324,24 @@ func TestNetChaosFateOrder(t *testing.T) {
 		}
 		if nc.Stats().PartitionedOut != 1 {
 			t.Fatalf("stats %+v", nc.Stats())
+		}
+	})
+	t.Run("drop-is-partition-out-before-delay", func(t *testing.T) {
+		c := newTest(t, leasedOpt())
+		nc := &NetChaos{Inner: &Local{C: c},
+			Plan: netPlanFor(t, 4, 2, "drop-delay-all", 0)}
+		for e := 1; e <= 2; e++ {
+			_, err := nc.Report(context.Background(), report("node-0", e, 0.2, 80, 100))
+			if !errors.Is(err, ErrNetChaos) {
+				t.Fatalf("epoch %d: dropped report returned %v, want ErrNetChaos", e, err)
+			}
+		}
+		// Nothing was held for a later flush: the drop came first.
+		if c.stats.Reports != 0 {
+			t.Fatal("dropped report reached the coordinator")
+		}
+		if st := nc.Stats(); st != (NetStats{PartitionedOut: 2}) {
+			t.Fatalf("stats %+v, want two partitioned-out reports", st)
 		}
 	})
 	t.Run("partition-in", func(t *testing.T) {
@@ -394,4 +418,21 @@ func TestNetChaosFateOrder(t *testing.T) {
 			t.Fatalf("unmapped node tallied fates: %+v", nc.Stats())
 		}
 	})
+}
+
+// TestNetChaosSeveredReportAllocFree pins the lost-report path at zero
+// heap allocations: under the fleet's chaos schedule about one report
+// in eight is severed, on the serial merge path.
+func TestNetChaosSeveredReportAllocFree(t *testing.T) {
+	nc := &NetChaos{Inner: &Local{C: newTest(t, leasedOpt())},
+		Plan: netPlanFor(t, 4, 2, "partition-out", 0)}
+	r := report("node-0", 1, 0.2, 80, 100)
+	sever := func() {
+		if _, err := nc.Report(context.Background(), r); err == nil {
+			t.Fatal("partitioned-out report delivered")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, sever); allocs != 0 {
+		t.Errorf("severed report allocates %v times per call, want 0", allocs)
+	}
 }

@@ -12,17 +12,19 @@ import (
 )
 
 // NetChaos wraps any Transport with a deterministic network-fault
-// schedule (faults.NetPlan): directed partitions, message drop, one-
-// epoch delay with optional reorder, and duplication. Because the plan
+// schedule (faults.NetPlan): directed partitions (a dropped report is a
+// one-epoch report-direction partition), one-epoch delay with optional
+// reorder, and duplication. Because the plan
 // is a pure function of (spec, seed, epochs, nodes) and the wrapper is
 // driven purely by the report sequence, the in-process Local transport
 // and the networked HTTP Client observe the identical schedule — the
 // property the partition-soak battery pins across both paths.
 //
-// Message fates, in the order they are considered per report:
+// Message fates, in the order they are considered per report (after
+// the previous epoch's delayed reports are flushed):
 //
-//   - partitioned out / dropped: the report never reaches the
-//     coordinator; the caller sees an error (a missed renewal).
+//   - partitioned out: the report never reaches the coordinator; the
+//     caller sees an error (a missed renewal).
 //   - delayed: the report is buffered and delivered at the next epoch's
 //     first Report call, before that epoch's fresh reports — in node
 //     order, or reversed when the plan schedules a reorder. Its grant
@@ -50,7 +52,6 @@ type NetChaos struct {
 type NetStats struct {
 	PartitionedOut int `json:"partitioned_out"`
 	PartitionedIn  int `json:"partitioned_in"`
-	Dropped        int `json:"dropped"`
 	Delayed        int `json:"delayed"`
 	DeliveredLate  int `json:"delivered_late"`
 	Duplicated     int `json:"duplicated"`
@@ -66,6 +67,14 @@ type delayedReport struct {
 // severs; callers treat it like any other transport failure (run on
 // the last grant, count a fallback).
 var ErrNetChaos = errors.New("coordinator: netchaos severed link")
+
+// One preallocated error per severing fate: a lost report is the
+// common case under chaos and must not allocate.
+var (
+	errPartitioned = fmt.Errorf("%w: report partitioned", ErrNetChaos)
+	errDelayed     = fmt.Errorf("%w: report delayed", ErrNetChaos)
+	errGrantLost   = fmt.Errorf("%w: grant lost", ErrNetChaos)
+)
 
 // Stats returns the tallies so far.
 func (n *NetChaos) Stats() NetStats { return n.stats }
@@ -124,14 +133,11 @@ func (n *NetChaos) Report(ctx context.Context, r NodeReport) (Grant, error) {
 	switch {
 	case n.Plan.PartitionedOut(r.Epoch, node):
 		n.stats.PartitionedOut++
-		return Grant{}, fmt.Errorf("%w: report %s/%d partitioned", ErrNetChaos, r.NodeID, r.Epoch)
-	case n.Plan.Dropped(r.Epoch, node):
-		n.stats.Dropped++
-		return Grant{}, fmt.Errorf("%w: report %s/%d dropped", ErrNetChaos, r.NodeID, r.Epoch)
+		return Grant{}, errPartitioned
 	case n.Plan.Delayed(r.Epoch, node):
 		n.stats.Delayed++
 		n.delayed = append(n.delayed, delayedReport{r: r, node: node})
-		return Grant{}, fmt.Errorf("%w: report %s/%d delayed", ErrNetChaos, r.NodeID, r.Epoch)
+		return Grant{}, errDelayed
 	}
 	g, err := n.Inner.Report(ctx, r)
 	if n.Plan.Duplicated(r.Epoch, node) {
@@ -145,7 +151,7 @@ func (n *NetChaos) Report(ctx context.Context, r NodeReport) (Grant, error) {
 	}
 	if n.Plan.PartitionedIn(r.Epoch, node) {
 		n.stats.PartitionedIn++
-		return Grant{}, fmt.Errorf("%w: grant for %s/%d lost", ErrNetChaos, r.NodeID, r.Epoch)
+		return Grant{}, errGrantLost
 	}
 	return g, nil
 }

@@ -11,8 +11,8 @@ import (
 // (internal/coordinator, DESIGN.md §10) on the pinned diurnal scenario:
 // the same 8-node fleet, workload and total watt budget run three ways —
 // a static even split, coordinated cap arbitration, and coordination
-// under the control-plane chaos plan (dropped reports plus coordinator
-// outages). The scenario's rotating skew means an even split strands
+// under the control-plane chaos schedule (dropped reports plus
+// whole-fleet report outages). The scenario's rotating skew means an even split strands
 // watts on cold nodes while hot nodes throttle their best-effort tier;
 // arbitration moves the stranded watts, so the coordinated rows must
 // show strictly higher fleet BE throughput at equal-or-better QoS.

@@ -59,7 +59,8 @@ type NetSpec struct {
 	// (geometric, default 2).
 	MeanPartitionEpochs float64
 	// DropRate is the per-message probability a report is silently
-	// dropped outside partition windows.
+	// dropped. A drawn drop is stored as a one-epoch report-direction
+	// window, so a lost report has one representation.
 	DropRate float64
 	// DelayRate is the per-message probability a report is held one
 	// epoch and delivered just before the next exchange's fresh
@@ -96,9 +97,8 @@ type NetPlan struct {
 	Epochs int
 	Nodes  int
 
-	outWindows []NetWindow // DirReport partitions, canonicalized
+	outWindows []NetWindow // DirReport partitions and drops, canonicalized
 	inWindows  []NetWindow // DirGrant partitions, canonicalized
-	drops      map[netKey]struct{}
 	delays     map[netKey]struct{}
 	dups       map[netKey]struct{}
 	reorder    map[int]struct{}
@@ -107,9 +107,8 @@ type NetPlan struct {
 type netKey struct{ epoch, node int }
 
 // NewNet materializes the schedule implied by spec — a pure function of
-// (spec, seed, epochs, nodes). Extra explicit windows may be appended
-// for scripted scenarios; they are canonicalized exactly like ManualNet.
-func NewNet(spec NetSpec, seed int64, epochs, nodes int, manual ...NetWindow) *NetPlan {
+// (spec, seed, epochs, nodes).
+func NewNet(spec NetSpec, seed int64, epochs, nodes int) *NetPlan {
 	clampRate := func(r float64) float64 {
 		if !(r > 0) {
 			return 0
@@ -129,9 +128,8 @@ func NewNet(spec NetSpec, seed int64, epochs, nodes int, manual ...NetWindow) *N
 	dup := clampRate(spec.DupRate)
 	reorder := clampRate(spec.ReorderRate)
 
-	windows := append([]NetWindow(nil), manual...)
+	var windows []NetWindow
 	p := &NetPlan{
-		drops:   map[netKey]struct{}{},
 		delays:  map[netKey]struct{}{},
 		dups:    map[netKey]struct{}{},
 		reorder: map[int]struct{}{},
@@ -166,7 +164,7 @@ func NewNet(spec NetSpec, seed int64, epochs, nodes int, manual ...NetWindow) *N
 		for e := 1; e <= epochs; e++ {
 			k := netKey{epoch: e, node: n}
 			if drop > 0 && rng.Float64() < drop {
-				p.drops[k] = struct{}{}
+				windows = append(windows, NetWindow{Node: n, Dir: DirReport, Start: e, End: e + 1})
 			}
 			if delay > 0 && rng.Float64() < delay {
 				p.delays[k] = struct{}{}
@@ -190,12 +188,7 @@ func NewNet(spec NetSpec, seed int64, epochs, nodes int, manual ...NetWindow) *N
 // and nodes 0..nodes-1, empty ones dropped, and per-(node, direction)
 // overlapping or touching ones merged.
 func ManualNet(epochs, nodes int, windows ...NetWindow) *NetPlan {
-	p := &NetPlan{
-		drops:   map[netKey]struct{}{},
-		delays:  map[netKey]struct{}{},
-		dups:    map[netKey]struct{}{},
-		reorder: map[int]struct{}{},
-	}
+	p := &NetPlan{} // nil fate maps: every lookup misses
 	canonicalizeNet(p, epochs, nodes, windows)
 	return p
 }
@@ -252,17 +245,18 @@ func mergeNetWindows(ws []NetWindow) []NetWindow {
 	return merged
 }
 
+// inNetWindows binary-searches canonical windows: sorted by node, and
+// per node by start, non-overlapping — so per node the ends ascend too.
 func inNetWindows(ws []NetWindow, epoch, node int) bool {
-	for _, w := range ws {
-		if w.Node == node && epoch >= w.Start && epoch < w.End {
-			return true
-		}
-	}
-	return false
+	i := sort.Search(len(ws), func(i int) bool {
+		return ws[i].Node > node || (ws[i].Node == node && ws[i].End > epoch)
+	})
+	return i < len(ws) && ws[i].Node == node && ws[i].Start <= epoch
 }
 
 // PartitionedOut reports whether node's report direction is severed at
-// epoch: the report never reaches the coordinator.
+// epoch — by a partition window or a drop: the report never reaches the
+// coordinator.
 func (p *NetPlan) PartitionedOut(epoch, node int) bool {
 	if p == nil {
 		return false
@@ -277,15 +271,6 @@ func (p *NetPlan) PartitionedIn(epoch, node int) bool {
 		return false
 	}
 	return inNetWindows(p.inWindows, epoch, node)
-}
-
-// Dropped reports whether node's epoch report is dropped in flight.
-func (p *NetPlan) Dropped(epoch, node int) bool {
-	if p == nil {
-		return false
-	}
-	_, ok := p.drops[netKey{epoch: epoch, node: node}]
-	return ok
 }
 
 // Delayed reports whether node's epoch report is held one epoch.
@@ -320,5 +305,5 @@ func (p *NetPlan) ReorderedFlush(epoch int) bool {
 // Empty reports whether the plan schedules no chaos at all.
 func (p *NetPlan) Empty() bool {
 	return p == nil || (len(p.outWindows) == 0 && len(p.inWindows) == 0 &&
-		len(p.drops) == 0 && len(p.delays) == 0 && len(p.dups) == 0)
+		len(p.delays) == 0 && len(p.dups) == 0)
 }

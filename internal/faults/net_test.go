@@ -1,6 +1,9 @@
 package faults
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -26,7 +29,6 @@ func netPlansEqual(a, b *NetPlan, epochs, nodes int) bool {
 		for n := -1; n <= nodes; n++ {
 			if a.PartitionedOut(e, n) != b.PartitionedOut(e, n) ||
 				a.PartitionedIn(e, n) != b.PartitionedIn(e, n) ||
-				a.Dropped(e, n) != b.Dropped(e, n) ||
 				a.Delayed(e, n) != b.Delayed(e, n) ||
 				a.Duplicated(e, n) != b.Duplicated(e, n) {
 				return false
@@ -69,7 +71,7 @@ func TestManualNetCanonicalizes(t *testing.T) {
 
 func TestNetPlanNilAndEmpty(t *testing.T) {
 	var p *NetPlan
-	if p.PartitionedOut(1, 0) || p.PartitionedIn(1, 0) || p.Dropped(1, 0) ||
+	if p.PartitionedOut(1, 0) || p.PartitionedIn(1, 0) ||
 		p.Delayed(1, 0) || p.Duplicated(1, 0) || p.ReorderedFlush(1) {
 		t.Fatal("nil plan imposed a fate")
 	}
@@ -102,12 +104,57 @@ func TestNewNetHostileRatesClamp(t *testing.T) {
 			if p.Delayed(e, n) {
 				t.Fatal("negative delay rate materialized")
 			}
-			if p.Dropped(e, n) {
-				t.Fatal("NaN drop rate materialized")
-			}
 			if !p.Duplicated(e, n) {
 				t.Fatal("over-range dup rate should clamp to 1, duplicating every message")
 			}
+		}
+	}
+	// Drops are report windows, hidden above by the rate-1 partitions.
+	if !NewNet(NetSpec{DropRate: math.NaN()}, 9, 20, 3).Empty() {
+		t.Fatal("NaN drop rate materialized")
+	}
+}
+
+// TestNetDropsAreReportWindows pins the report-loss set NewNet draws:
+// every (epoch, node) whose report never reaches the coordinator, from
+// a partition window or a drawn drop. The digests were taken from the
+// plan when drops still lived in their own map, so storing each drop as
+// a one-epoch report window must leave the rng stream and the loss set
+// unchanged.
+func TestNetDropsAreReportWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec NetSpec
+		seed int64
+		lost int
+		want string
+	}{
+		{"default", DefaultNetSpec(), 1, 49, "80f78a984d66c8edf52ee67d344368808c6f80ac71e4f9fc38bde6c8a711330f"},
+		{"default", DefaultNetSpec(), 7, 41, "982f6ebf6caace176f5dbdba1d00fa10b1c828e675ec9336cef1512563283bcf"},
+		{"default", DefaultNetSpec(), 42, 52, "f976f2543af37d475f1f741ffbddefb730194383812c44e718e1f80036272436"},
+		{"default", DefaultNetSpec(), 20260808, 49, "35f617b9d970a03aa33146016804b5f12318f7fb2af692dd957f717124eebef1"},
+		{"drop-only", NetSpec{DropRate: 0.1}, 1, 84, "67fab9f716fe728f6f6e6b32c357f432d0702209aac61b3fcbf2e284b9fb820b"},
+		{"drop-only", NetSpec{DropRate: 0.1}, 7, 65, "6f858a283fa82f80c5177f90f4a5416907f4e169fb09c00cfba49bdb27a47103"},
+		{"drop-only", NetSpec{DropRate: 0.1}, 42, 81, "c2b8dfab7a94a56f9140c9e989b60786dead5b8aff3b6465aba36a8e1ee26ffb"},
+		{"drop-only", NetSpec{DropRate: 0.1}, 20260808, 64, "7634c8e6d02e633e30f15102d19858145388529cc698c67810386910aecde190"},
+	} {
+		p := NewNet(tc.spec, tc.seed, 96, 8)
+		h := sha256.New()
+		lost := 0
+		for n := 0; n < 8; n++ {
+			for e := 1; e <= 96; e++ {
+				if p.PartitionedOut(e, n) {
+					lost++
+					fmt.Fprintf(h, "%d,%d\n", e, n)
+				}
+				if tc.spec.PartitionRate == 0 && p.PartitionedIn(e, n) {
+					t.Fatalf("%s seed %d: a drop severed the grant direction at (%d, %d)", tc.name, tc.seed, e, n)
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); lost != tc.lost || got != tc.want {
+			t.Errorf("%s seed %d: %d lost reports digest %s, want %d digest %s",
+				tc.name, tc.seed, lost, got, tc.lost, tc.want)
 		}
 	}
 }
@@ -150,14 +197,14 @@ func FuzzNetPlanDecode(f *testing.F) {
 		for n := -1; n <= p.Nodes; n++ {
 			edge := n < 0 || n >= p.Nodes
 			for _, e := range []int{0, p.Epochs + 1} {
-				if p.PartitionedOut(e, n) || p.PartitionedIn(e, n) || p.Dropped(e, n) ||
+				if p.PartitionedOut(e, n) || p.PartitionedIn(e, n) ||
 					p.Delayed(e, n) || p.Duplicated(e, n) {
 					t.Fatalf("fate outside epoch range at (%d, %d)", e, n)
 				}
 			}
 			if edge {
 				for e := 1; e <= p.Epochs; e++ {
-					if p.PartitionedOut(e, n) || p.PartitionedIn(e, n) || p.Dropped(e, n) ||
+					if p.PartitionedOut(e, n) || p.PartitionedIn(e, n) ||
 						p.Delayed(e, n) || p.Duplicated(e, n) {
 						t.Fatalf("fate for out-of-range node at (%d, %d)", e, n)
 					}
