@@ -14,11 +14,11 @@ import (
 // NetChaos wraps any Transport with a deterministic network-fault
 // schedule (faults.NetPlan): directed partitions (a dropped report is a
 // one-epoch report-direction partition), one-epoch delay with optional
-// reorder, and duplication. Because the plan
-// is a pure function of (spec, seed, epochs, nodes) and the wrapper is
-// driven purely by the report sequence, the in-process Local transport
-// and the networked HTTP Client observe the identical schedule — the
-// property the partition-soak battery pins across both paths.
+// reorder, and duplication. Because the plan is a pure function of
+// (spec, seed, epochs, nodes) and the wrapper is driven purely by the
+// report sequence, the in-process Local transport and the networked
+// HTTP Client observe the identical schedule — the property the
+// partition-soak battery pins across both paths.
 //
 // Message fates, in the order they are considered per report (after
 // the previous epoch's delayed reports are flushed):
